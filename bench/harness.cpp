@@ -18,9 +18,7 @@ RunnerFactory awc_runners(std::vector<std::string> strategy_labels) {
     for (const std::string& label : labels) {
       runners.push_back({label, analysis::awc_runner(label, /*record_received=*/true,
                                                      config.max_cycles,
-                                                     config.incremental,
-                                                     store_kernel_from_string(
-                                                         config.store_kernel))});
+                                                     config.incremental)});
     }
     return runners;
   };
@@ -137,9 +135,6 @@ int run_table_bench(int argc, const char* const* argv, const TableBench& bench) 
     if (config.n_scale != 1.0) std::cout << " n_scale=" << config.n_scale;
     if (config.threads != 1) std::cout << " threads=" << config.threads;
     if (!config.incremental) std::cout << " incremental=0";
-    if (config.store_kernel != "counters") {
-      std::cout << " store_kernel=" << config.store_kernel;
-    }
     std::cout << "\n(paper columns show the published values for shape comparison)\n\n";
 
     const bool with_paper = !bench.paper.empty();
@@ -241,7 +236,6 @@ int run_table_bench(int argc, const char* const* argv, const TableBench& bench) 
           << "  \"seed\": " << config.seed << ",\n"
           << "  \"threads\": " << config.threads << ",\n"
           << "  \"incremental\": " << (config.incremental ? "true" : "false") << ",\n"
-          << "  \"store_kernel\": \"" << json_escape(config.store_kernel) << "\",\n"
           << "  \"elapsed_ms\": " << elapsed.count() << ",\n"
           << "  \"monitor_guard\": {\"identical\": "
           << (guard.identical ? "true" : "false")

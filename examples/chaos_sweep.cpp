@@ -17,8 +17,7 @@
 //               [--partition-interval 400] [--partition-duration 150]
 //               [--partition-groups 2] [--quarantine-budget 0]
 //               [--quarantine-duration 200] [--monitor 1] [--repro-dir DIR]
-//               [--threads 1] [--incremental 1]
-//               [--store-kernel counters|watched] [--coord-kill-ms 0]
+//               [--threads 1] [--incremental 1] [--coord-kill-ms 0]
 //
 // --coord-kill-ms T > 0 adds a coordinator-crash axis: each trial runs on
 // the in-proc distributed runtime (net/coordinator.h) instead of the
@@ -150,9 +149,6 @@ int main(int argc, char** argv) {
         opts.get_string("repro-dir", "", "DISCSP_REPRO_DIR");
     const int threads = static_cast<int>(opts.get_int("threads", 1, "REPRO_THREADS"));
     const bool incremental = opts.get_bool("incremental", true, "REPRO_INCREMENTAL");
-    const std::string store_kernel =
-        opts.get_string("store-kernel", "counters", "REPRO_STORE_KERNEL");
-    (void)store_kernel_from_string(store_kernel);  // fail fast on a bad value
     const std::int64_t coord_kill_ms = opts.get_int("coord-kill-ms", 0);
     if (coord_kill_ms < 0) {
       throw std::invalid_argument("--coord-kill-ms must be >= 0");
@@ -246,7 +242,6 @@ int main(int argc, char** argv) {
             bundle.journal = amnesia > 0;
             bundle.checkpoint_interval = static_cast<int>(checkpoint_interval);
             bundle.incremental = incremental;
-            bundle.store_kernel = store_kernel;
             bundle.monitor = monitor;
             bundle.planted = monitor ? instance.planted : FullAssignment{};
             bundle.initial.resize(static_cast<std::size_t>(n));

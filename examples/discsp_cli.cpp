@@ -155,8 +155,7 @@ int cmd_solve(const Options& opts) {
                  "[--partition-groups K] [--quarantine-budget N] "
                  "[--quarantine-duration N] [--ack-timeout N] "
                  "[--nogood-capacity N] [--checkpoint-interval N] "
-                 "[--incremental 0|1] [--store-kernel counters|watched] "
-                 "[--monitor 0|1] [--monitor-stall N]\n";
+                 "[--incremental 0|1] [--monitor 0|1] [--monitor-stall N]\n";
     return 2;
   }
   const auto dp = load(opts.positional()[1]);
@@ -204,7 +203,6 @@ int cmd_solve(const Options& opts) {
     options.journal = journal;
     options.journal_config = journal_config;
     options.incremental = repro.incremental;
-    options.kernel = store_kernel_from_string(repro.store_kernel);
     awc::AwcSolver solver(dp, *strategy, options);
     result = async_path ? run_with_faults(solver)
                         : solver.solve(solver.random_initial(rng), rng.derive(1));
@@ -214,7 +212,6 @@ int cmd_solve(const Options& opts) {
     db_options.journal = journal;
     db_options.journal_config = journal_config;
     db_options.incremental = repro.incremental;
-    db_options.kernel = store_kernel_from_string(repro.store_kernel);
     db::DbSolver solver(dp, db_options);
     result = async_path ? run_with_faults(solver)
                         : solver.solve(solver.random_initial(rng), rng.derive(1));
@@ -228,7 +225,6 @@ int cmd_solve(const Options& opts) {
     options.max_cycles = max_cycles;
     options.use_resolvent = opts.get_bool("abt-resolvent", true);
     options.incremental = repro.incremental;
-    options.kernel = store_kernel_from_string(repro.store_kernel);
     abt::AbtSolver solver(dp, options);
     result = solver.solve(solver.random_initial(rng), rng.derive(1));
   } else {
@@ -339,19 +335,18 @@ int cmd_experiment(const Options& opts) {
   std::string label;
   while (std::getline(labels, label, ',')) {
     if (label.empty()) continue;
-    const StoreKernel kernel = store_kernel_from_string(config.store_kernel);
     if (label == "DB") {
       runners.push_back({label, analysis::db_runner(config.max_cycles,
-                                                    config.incremental, kernel)});
+                                                    config.incremental)});
     } else if (label == "ABT") {
       runners.push_back({label, analysis::abt_runner(false, config.max_cycles,
-                                                     config.incremental, kernel)});
+                                                     config.incremental)});
     } else if (label == "ABT+Rslv") {
       runners.push_back({label, analysis::abt_runner(true, config.max_cycles,
-                                                     config.incremental, kernel)});
+                                                     config.incremental)});
     } else {
       runners.push_back({label, analysis::awc_runner(label, true, config.max_cycles,
-                                                     config.incremental, kernel)});
+                                                     config.incremental)});
     }
   }
   if (runners.empty()) {
@@ -363,8 +358,7 @@ int cmd_experiment(const Options& opts) {
             << " instances=" << spec.instances << " inits=" << spec.inits_per_instance
             << " max_cycles=" << spec.max_cycles << " seed=" << spec.seed
             << " threads=" << config.threads
-            << " incremental=" << (config.incremental ? 1 : 0)
-            << " store_kernel=" << config.store_kernel << "\n\n";
+            << " incremental=" << (config.incremental ? 1 : 0) << "\n\n";
   const auto rows = analysis::run_comparison(spec, runners, config.threads);
   TextTable table({"learn", "cycle", "maxcck", "%", "med", "p95", "checks", "work_ops"});
   for (const auto& row : rows) {
@@ -410,7 +404,6 @@ net::JobSpec build_jobspec(const Options& opts, const DistributedProblem& dp,
   bundle.journal = repro.fault_amnesia > 0;
   bundle.checkpoint_interval = static_cast<int>(repro.checkpoint_interval);
   bundle.incremental = repro.incremental;
-  bundle.store_kernel = repro.store_kernel;
   // The coordinator-side invariant monitor likewise defaults ON.
   bundle.monitor = opts.get_bool("monitor", true, "REPRO_MONITOR");
   bundle.monitor_stall = repro.monitor_stall;

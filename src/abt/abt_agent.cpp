@@ -14,7 +14,7 @@ AbtAgent::AbtAgent(AgentId id, VarId var, int domain_size, Value initial_value,
                    std::shared_ptr<const std::vector<AgentId>> owner_of_var, Rng rng,
                    AbtAgentConfig config)
     : id_(id), var_(var), domain_size_(domain_size), value_(initial_value),
-      store_(var, domain_size, config.kernel), outgoing_(std::move(lower_neighbors)),
+      store_(var, domain_size), outgoing_(std::move(lower_neighbors)),
       owner_of_var_(std::move(owner_of_var)), rng_(rng), config_(config) {
   if (initial_value < 0 || initial_value >= domain_size) {
     throw std::invalid_argument("initial value outside domain");

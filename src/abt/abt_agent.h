@@ -32,8 +32,6 @@ struct AbtAgentConfig {
   /// Consistency tests through the store's match counters instead of bucket
   /// scans. Metrics are bit-identical either way.
   bool incremental = true;
-  /// Consistency engine behind the nogood store (--store-kernel).
-  StoreKernel kernel = StoreKernel::kCounters;
 };
 
 class AbtAgent final : public sim::Agent, private learning::PriorityOrder {

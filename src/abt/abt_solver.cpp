@@ -61,7 +61,6 @@ std::vector<std::unique_ptr<sim::Agent>> AbtSolver::make_agents(
     AbtAgentConfig config;
     config.use_resolvent = options_.use_resolvent;
     config.incremental = options_.incremental;
-    config.kernel = options_.kernel;
     agents.push_back(std::make_unique<AbtAgent>(
         a, var, p.domain_size(var), initial[static_cast<std::size_t>(var)],
         std::move(outgoing), evaluated, owner_of_var_,

@@ -7,7 +7,6 @@
 
 #include "common/rng.h"
 #include "csp/distributed_problem.h"
-#include "csp/store_kernel.h"
 #include "sim/metrics.h"
 #include "sim/sync_engine.h"
 
@@ -20,8 +19,6 @@ struct AbtOptions {
   /// Counter-based consistency tests (paper metrics are bit-identical to the
   /// bucket-scan path; see docs/PERF.md).
   bool incremental = true;
-  /// Consistency engine behind the nogood store (--store-kernel).
-  StoreKernel kernel = StoreKernel::kCounters;
 };
 
 class AbtSolver {

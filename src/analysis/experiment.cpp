@@ -191,30 +191,27 @@ std::vector<AggregateRow> run_comparison(const ExperimentSpec& spec,
 }
 
 TrialRunner awc_runner(const std::string& strategy_label, bool record_received,
-                       int max_cycles, bool incremental, StoreKernel kernel) {
+                       int max_cycles, bool incremental) {
   auto strategy = std::shared_ptr<learning::LearningStrategy>(
       learning::make_strategy(strategy_label));
-  return [strategy, record_received, max_cycles, incremental, kernel](
+  return [strategy, record_received, max_cycles, incremental](
              const DistributedProblem& dp, const FullAssignment& initial,
              const Rng& rng) {
     awc::AwcOptions options;
     options.max_cycles = max_cycles;
     options.record_received = record_received;
     options.incremental = incremental;
-    options.kernel = kernel;
     awc::AwcSolver solver(dp, *strategy, options);
     return solver.solve(initial, rng);
   };
 }
 
-TrialRunner db_runner(int max_cycles, bool incremental, StoreKernel kernel) {
-  return [max_cycles, incremental, kernel](const DistributedProblem& dp,
-                                           const FullAssignment& initial,
-                                           const Rng& rng) {
+TrialRunner db_runner(int max_cycles, bool incremental) {
+  return [max_cycles, incremental](const DistributedProblem& dp,
+                                   const FullAssignment& initial, const Rng& rng) {
     db::DbOptions options;
     options.max_cycles = max_cycles;
     options.incremental = incremental;
-    options.kernel = kernel;
     db::DbSolver solver(dp, options);
     return solver.solve(initial, rng);
   };
@@ -240,7 +237,6 @@ TrialRunner awc_chaos_runner(const std::string& strategy_label,
     awc_options.journal = options.journal;
     awc_options.journal_config = options.journal_config;
     awc_options.incremental = options.incremental;
-    awc_options.kernel = options.kernel;
     awc::AwcSolver solver(dp, *strategy, awc_options);
     sim::AsyncConfig config;
     config.max_activations = options.max_activations;
@@ -253,16 +249,14 @@ TrialRunner awc_chaos_runner(const std::string& strategy_label,
   };
 }
 
-TrialRunner abt_runner(bool use_resolvent, int max_cycles, bool incremental,
-                       StoreKernel kernel) {
-  return [use_resolvent, max_cycles, incremental, kernel](
+TrialRunner abt_runner(bool use_resolvent, int max_cycles, bool incremental) {
+  return [use_resolvent, max_cycles, incremental](
              const DistributedProblem& dp, const FullAssignment& initial,
              const Rng& rng) {
     abt::AbtOptions options;
     options.max_cycles = max_cycles;
     options.use_resolvent = use_resolvent;
     options.incremental = incremental;
-    options.kernel = kernel;
     abt::AbtSolver solver(dp, options);
     return solver.solve(initial, rng);
   };

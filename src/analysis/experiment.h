@@ -14,7 +14,6 @@
 #include "common/options.h"
 #include "common/rng.h"
 #include "csp/distributed_problem.h"
-#include "csp/store_kernel.h"
 #include "recovery/journal.h"
 #include "recovery/retransmit.h"
 #include "sim/metrics.h"
@@ -94,16 +93,12 @@ std::vector<AggregateRow> run_comparison(const ExperimentSpec& spec,
 DistributedProblem make_instance(const ExperimentSpec& spec, int instance_index);
 
 /// Standard runner factories. `incremental` selects the counter-based
-/// consistency path and `kernel` the store engine behind it (paper metrics
-/// are bit-identical across all combinations).
+/// consistency path (paper metrics are bit-identical either way).
 TrialRunner awc_runner(const std::string& strategy_label, bool record_received = true,
-                       int max_cycles = 10000, bool incremental = true,
-                       StoreKernel kernel = StoreKernel::kCounters);
-TrialRunner db_runner(int max_cycles = 10000, bool incremental = true,
-                      StoreKernel kernel = StoreKernel::kCounters);
+                       int max_cycles = 10000, bool incremental = true);
+TrialRunner db_runner(int max_cycles = 10000, bool incremental = true);
 TrialRunner abt_runner(bool use_resolvent = false, int max_cycles = 10000,
-                       bool incremental = true,
-                       StoreKernel kernel = StoreKernel::kCounters);
+                       bool incremental = true);
 
 /// AWC on the asynchronous engine with fault injection (sim/fault.h): the
 /// chaos-sweep counterpart of awc_runner. A disabled fault config reduces to
@@ -128,8 +123,6 @@ struct ChaosRunnerOptions {
   recovery::RetransmitConfig retransmit;
   /// Counter-based consistency path (metrics bit-identical either way).
   bool incremental = true;
-  /// Consistency engine behind the nogood store (--store-kernel).
-  StoreKernel kernel = StoreKernel::kCounters;
   /// Online protocol-invariant monitor (sim/monitor.h); note that the
   /// planted-solution screen only applies when `monitor.planted` is set,
   /// which a generic multi-instance runner cannot do — per-instance

@@ -76,7 +76,6 @@ sim::RunResult run_bundle(const ReproBundle& bundle) {
     options.journal = bundle.journal;
     options.journal_config.checkpoint_interval = bundle.checkpoint_interval;
     options.incremental = bundle.incremental;
-    options.kernel = store_kernel_from_string(bundle.store_kernel);
     auto strategy = learning::make_strategy(bundle.strategy);
     awc::AwcSolver solver(bundle.instance, *strategy, options);
     sim::AsyncEngine engine(p, solver.make_agents(bundle.initial, rng.derive(1)),
@@ -87,7 +86,6 @@ sim::RunResult run_bundle(const ReproBundle& bundle) {
   options.journal = bundle.journal;
   options.journal_config.checkpoint_interval = bundle.checkpoint_interval;
   options.incremental = bundle.incremental;
-  options.kernel = store_kernel_from_string(bundle.store_kernel);
   db::DbSolver solver(bundle.instance, options);
   sim::AsyncEngine engine(p, solver.make_agents(bundle.initial, rng.derive(1)),
                           config, rng.derive(2));
@@ -158,7 +156,6 @@ void write_bundle(std::ostream& out, const ReproBundle& bundle) {
   out << "journal " << (bundle.journal ? 1 : 0) << '\n';
   out << "checkpoint-interval " << bundle.checkpoint_interval << '\n';
   out << "incremental " << (bundle.incremental ? 1 : 0) << '\n';
-  out << "store-kernel " << bundle.store_kernel << '\n';
   out << "monitor " << (bundle.monitor ? 1 : 0) << '\n';
   out << "monitor-stall " << bundle.monitor_stall << '\n';
   out << "transport " << bundle.transport << '\n';
@@ -288,8 +285,11 @@ ReproBundle read_bundle(std::istream& in) {
     } else if (keyword == "incremental") {
       read_bool(bundle.incremental);
     } else if (keyword == "store-kernel") {
-      if (!(body >> bundle.store_kernel) ||
-          (bundle.store_kernel != "counters" && bundle.store_kernel != "watched")) {
+      // Legacy: bundles written when the store had a second engine name it
+      // here. Every engine replayed identically, so the line is validated
+      // and otherwise ignored.
+      std::string kernel;
+      if (!(body >> kernel) || (kernel != "counters" && kernel != "watched")) {
         fail(lineno, "store-kernel must be counters or watched");
       }
     } else if (keyword == "monitor") {

@@ -51,9 +51,6 @@ struct ReproBundle {
   bool journal = false;
   int checkpoint_interval = 64;
   bool incremental = true;
-  /// Consistency engine: "counters" or "watched" (--store-kernel). Legacy
-  /// bundles without the keyword replay on the counters default.
-  std::string store_kernel = "counters";
 
   /// Invariant monitor (sim/monitor.h). `planted` doubles as the witness
   /// for the no-false-insolubility screen.

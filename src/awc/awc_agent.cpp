@@ -15,7 +15,7 @@ AwcAgent::AwcAgent(AgentId id, VarId var, int domain_size, Value initial_value,
                    std::shared_ptr<GenerationLog> generation_log, Rng rng,
                    AwcAgentConfig config)
     : id_(id), var_(var), domain_size_(domain_size), value_(initial_value),
-      store_(var, domain_size, config.kernel), strategy_(std::move(strategy)),
+      store_(var, domain_size), strategy_(std::move(strategy)),
       links_(std::move(initial_links)), owner_of_var_(std::move(owner_of_var)),
       generation_log_(std::move(generation_log)),
       wal_(config.journal_config), rng_(rng), config_(config) {

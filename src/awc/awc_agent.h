@@ -76,9 +76,6 @@ struct AwcAgentConfig {
   /// Consistency tests through the store's match counters (O(Δ)) instead of
   /// flat scans. Metrics are bit-identical either way.
   bool incremental = true;
-  /// Consistency engine behind the nogood store; kWatched walks per-variable
-  /// watch lists instead of full occurrence lists (--store-kernel).
-  StoreKernel kernel = StoreKernel::kCounters;
 };
 
 class AwcAgent final : public sim::Agent, private learning::PriorityOrder {

@@ -53,7 +53,6 @@ std::vector<std::unique_ptr<sim::Agent>> AwcSolver::make_agents(
     config.journal = options_.journal;
     config.journal_config = options_.journal_config;
     config.incremental = options_.incremental;
-    config.kernel = options_.kernel;
     agents.push_back(std::make_unique<AwcAgent>(
         a, var, p.domain_size(var), initial[static_cast<std::size_t>(var)],
         strategy_->clone(), problem_.neighbors_of_agent(a), initial_nogoods,

@@ -8,7 +8,6 @@
 
 #include "common/rng.h"
 #include "csp/distributed_problem.h"
-#include "csp/store_kernel.h"
 #include "learning/strategy.h"
 #include "recovery/journal.h"
 #include "sim/metrics.h"
@@ -29,8 +28,6 @@ struct AwcOptions {
   /// Counter-based consistency tests (paper metrics are bit-identical to the
   /// flat-scan path; see docs/PERF.md).
   bool incremental = true;
-  /// Consistency engine behind the nogood store (--store-kernel).
-  StoreKernel kernel = StoreKernel::kCounters;
 };
 
 class AwcSolver {

@@ -3,8 +3,6 @@
 #include <cstdlib>
 #include <stdexcept>
 
-#include "csp/store_kernel.h"
-
 namespace discsp {
 
 Options::Options(int argc, const char* const* argv) {
@@ -78,8 +76,6 @@ ReproConfig repro_config_from(const Options& opts) {
   cfg.n_scale = opts.get_double("n-scale", cfg.n_scale, "REPRO_N_SCALE");
   cfg.threads = static_cast<int>(opts.get_int("threads", cfg.threads, "REPRO_THREADS"));
   cfg.incremental = opts.get_bool("incremental", cfg.incremental, "REPRO_INCREMENTAL");
-  cfg.store_kernel =
-      opts.get_string("store-kernel", cfg.store_kernel, "REPRO_STORE_KERNEL");
   cfg.fault_drop = opts.get_double("fault-drop", cfg.fault_drop, "REPRO_FAULT_DROP");
   cfg.fault_duplicate =
       opts.get_double("fault-duplicate", cfg.fault_duplicate, "REPRO_FAULT_DUPLICATE");
@@ -115,8 +111,6 @@ ReproConfig repro_config_from(const Options& opts) {
   if (cfg.max_cycles <= 0) throw std::invalid_argument("--max-cycles must be positive");
   if (cfg.n_scale <= 0.0) throw std::invalid_argument("--n-scale must be positive");
   if (cfg.threads < 0) throw std::invalid_argument("--threads must be >= 0");
-  // Parse for the side effect: throws naming --store-kernel on a bad value.
-  (void)store_kernel_from_string(cfg.store_kernel);
   // Fault knobs: probabilities must be probabilities, durations must be
   // durations. Rejecting here (with the flag named) beats a deep
   // std::invalid_argument out of FaultConfig::validate long after parsing.

@@ -57,11 +57,6 @@ struct ReproConfig {
   /// Counter-based incremental consistency path (paper metrics are
   /// bit-identical to the scan path either way; see docs/PERF.md).
   bool incremental = true;
-  /// Consistency engine behind the nogood stores: "counters" (default) or
-  /// "watched" (two watched literals per nogood; see docs/PERF.md). Paper
-  /// metrics are bit-identical either way. Kept as a string so bundle
-  /// provenance and the JobSpec wire format round-trip it verbatim.
-  std::string store_kernel = "counters";
 
   // Fault-injection knobs for the asynchronous engines (all off by default;
   // consumed via sim::fault_config_from, see docs/FAULT_MODEL.md).
@@ -96,9 +91,7 @@ struct ReproConfig {
 /// Build a ReproConfig from options: --trials/REPRO_TRIALS,
 /// --max-cycles, --seed/REPRO_SEED, --full/REPRO_FULL=1 which restores
 /// the paper's 100 trials, --threads/REPRO_THREADS,
-/// --incremental/REPRO_INCREMENTAL,
-/// --store-kernel=counters|watched/REPRO_STORE_KERNEL, the fault knobs
-/// --fault-drop,
+/// --incremental/REPRO_INCREMENTAL, the fault knobs --fault-drop,
 /// --fault-duplicate, --fault-reorder, --fault-corrupt, --fault-crash,
 /// --fault-amnesia, --fault-refresh, --fault-seed (REPRO_FAULT_* in the
 /// environment), the partition knobs --partition-interval,

@@ -7,8 +7,7 @@
 
 namespace discsp {
 
-NogoodStore::NogoodStore(VarId own, int domain_size, StoreKernel kernel)
-    : own_(own), kernel_(kernel) {
+NogoodStore::NogoodStore(VarId own, int domain_size) : own_(own) {
   if (domain_size <= 0) throw std::invalid_argument("domain_size must be positive");
   buckets_.resize(static_cast<std::size_t>(domain_size));
   violated_.resize(static_cast<std::size_t>(domain_size));
@@ -26,11 +25,7 @@ void NogoodStore::ensure_var(VarId var) {
   const auto v = static_cast<std::size_t>(var);
   if (v >= view_.size()) {
     view_.resize(v + 1, kNoValue);
-    if (kernel_ == StoreKernel::kWatched) {
-      watch_buckets_.resize(v + 1);
-    } else {
-      occ_.resize(v + 1);
-    }
+    occ_.resize(v + 1);
   }
 }
 
@@ -50,202 +45,6 @@ void NogoodStore::leave_violated(std::uint32_t idx) {
   vpos_[idx] = kNoPos;
 }
 
-void NogoodStore::watch_push(VarId var, Watch w) {
-  WatchBucket& b = watch_buckets_[static_cast<std::size_t>(var)];
-  if (b.size == b.cap) {
-    // Relocate the bucket to the slab's end with doubled capacity; the old
-    // region becomes dead space squeezed out by compact_watch_slab.
-    const std::uint32_t new_cap = b.cap == 0 ? 4 : b.cap * 2;
-    const auto new_offset = static_cast<std::uint32_t>(watch_slab_.size());
-    watch_slab_.resize(watch_slab_.size() + new_cap);
-    std::copy(watch_slab_.begin() + b.offset,
-              watch_slab_.begin() + b.offset + b.size,
-              watch_slab_.begin() + new_offset);
-    watch_dead_ += b.cap;
-    b.offset = new_offset;
-    b.cap = new_cap;
-  }
-  watch_slab_[b.offset + b.size++] = w;
-  if (watch_slab_.size() > 256 && watch_dead_ > watch_slab_.size() / 2) {
-    compact_watch_slab();
-  }
-}
-
-void NogoodStore::compact_watch_slab() {
-  // Rebuild the slab without relocation holes, preserving per-bucket entry
-  // order (in-flight walks index entries as offset + i, so order must hold).
-  std::vector<Watch> slab;
-  slab.reserve(watch_slab_.size() - watch_dead_);
-  for (WatchBucket& b : watch_buckets_) {
-    const auto offset = static_cast<std::uint32_t>(slab.size());
-    slab.insert(slab.end(), watch_slab_.begin() + b.offset,
-                watch_slab_.begin() + b.offset + b.size);
-    b.offset = offset;
-    b.cap = b.size;
-  }
-  watch_slab_ = std::move(slab);
-  watch_dead_ = 0;
-}
-
-void NogoodStore::watch_attach(std::uint32_t idx, std::uint32_t first_unmatched,
-                               std::uint32_t second_unmatched, bool all_matched) {
-  const Lits& L = lits_[idx];
-  if (all_matched) {
-    // Violated on arrival (vacuously when len == 0): enter all-watch mode so
-    // any future un-match of any literal is observed and demotes it.
-    enter_violated(idx);
-    watch1_[idx] = 0;
-    watch2_[idx] = 0;
-    for (std::uint32_t p = 0; p < L.len; ++p) {
-      ++work_ops_;
-      watched_[L.offset + p] = 1;
-      watch_push(arena_vars_[L.offset + p], Watch{idx, p, arena_vals_[L.offset + p]});
-    }
-    return;
-  }
-  // Watch up to two unmatched literals (one suffices for the invariant; two
-  // let a later match suspend instead of scanning for a replacement).
-  watch1_[idx] = first_unmatched;
-  watch2_[idx] = second_unmatched == kNoPos ? first_unmatched : second_unmatched;
-  for (const std::uint32_t p : {watch1_[idx], watch2_[idx]}) {
-    const std::size_t slot = L.offset + p;
-    if (watched_[slot]) continue;  // watch1 == watch2
-    ++work_ops_;
-    watched_[slot] = 1;
-    watch_push(arena_vars_[slot], Watch{idx, p, arena_vals_[slot]});
-  }
-}
-
-void NogoodStore::watch_detach(std::uint32_t idx) {
-  const Lits& L = lits_[idx];
-  for (std::uint32_t p = 0; p < L.len; ++p) {
-    const std::size_t slot = L.offset + p;
-    if (!watched_[slot]) continue;
-    watched_[slot] = 0;
-    WatchBucket& b = watch_buckets_[static_cast<std::size_t>(arena_vars_[slot])];
-    for (std::uint32_t i = 0; i < b.size; ++i) {
-      ++work_ops_;
-      Watch& w = watch_slab_[b.offset + i];
-      if (w.ng == idx && w.pos == p) {
-        w = watch_slab_[b.offset + b.size - 1];
-        --b.size;
-        break;
-      }
-    }
-  }
-}
-
-void NogoodStore::watch_repoint(std::uint32_t from, std::uint32_t to) {
-  const Lits& L = lits_[from];
-  for (std::uint32_t p = 0; p < L.len; ++p) {
-    const std::size_t slot = L.offset + p;
-    if (!watched_[slot]) continue;
-    WatchBucket& b = watch_buckets_[static_cast<std::size_t>(arena_vars_[slot])];
-    for (std::uint32_t i = 0; i < b.size; ++i) {
-      ++work_ops_;
-      Watch& w = watch_slab_[b.offset + i];
-      if (w.ng == from && w.pos == p) {
-        w.ng = to;
-        break;
-      }
-    }
-  }
-}
-
-void NogoodStore::watch_set_view(VarId var, Value old_value, Value new_value) {
-  // Invariant: a non-violated nogood always has at least one watch on an
-  // unmatched literal (when exactly one literal is unmatched, that literal
-  // is watched); a violated nogood has a watch entry on *every* literal.
-  // Entry liveness: (nogood violated) or (pos is watch1/watch2) — anything
-  // else is a stale leftover of a lazy unwatch, collected when the walk
-  // stands on it with a relevant delta.
-  //
-  // watch_push may grow or compact the slab mid-walk, so entries are always
-  // addressed as slab[bucket.offset + i], never through saved pointers.
-  WatchBucket& b = watch_buckets_[static_cast<std::size_t>(var)];
-  for (std::uint32_t i = 0; i < b.size;) {
-    ++work_ops_;
-    const Watch w = watch_slab_[b.offset + i];
-    const bool was = w.bound == old_value;
-    const bool now = w.bound == new_value;
-    if (was == now) {  // the delta cannot affect this literal's match state
-      ++i;
-      continue;
-    }
-    const std::uint32_t ng = w.ng;
-    const Lits& L = lits_[ng];
-    const bool violated = vpos_[ng] != kNoPos;
-    if (!violated && watch1_[ng] != w.pos && watch2_[ng] != w.pos) {
-      watched_[L.offset + w.pos] = 0;  // lazy unwatch: collect the stale entry
-      watch_slab_[b.offset + i] = watch_slab_[b.offset + b.size - 1];
-      --b.size;
-      continue;
-    }
-    if (now) {
-      // The watched literal just matched. A violated nogood has no
-      // unmatched literal, so this watch cannot belong to one.
-      assert(!violated);
-      const std::uint32_t other = watch1_[ng] == w.pos ? watch2_[ng] : watch1_[ng];
-      if (other != w.pos) {
-        ++work_ops_;
-        if (!literal_matches(L.offset + other)) {
-          // Suspend: the other watch still guards an unmatched literal, so
-          // the invariant holds without relocating anything.
-          ++i;
-          continue;
-        }
-      }
-      // Relocate to some other unmatched literal, if one exists.
-      std::uint32_t target = kNoPos;
-      for (std::uint32_t p = 0; p < L.len; ++p) {
-        if (p == w.pos || p == other) continue;
-        ++work_ops_;
-        if (!literal_matches(L.offset + p)) {
-          target = p;
-          break;
-        }
-      }
-      if (target != kNoPos) {
-        if (watch1_[ng] == w.pos) watch1_[ng] = target;
-        if (watch2_[ng] == w.pos) watch2_[ng] = target;
-        const std::size_t tslot = L.offset + target;
-        if (!watched_[tslot]) {  // a stale entry may still exist — reuse it
-          ++work_ops_;
-          watched_[tslot] = 1;
-          watch_push(arena_vars_[tslot], Watch{ng, target, arena_vals_[tslot]});
-        }
-        // The vacated entry is collected eagerly — the walk stands on it.
-        watched_[L.offset + w.pos] = 0;
-        watch_slab_[b.offset + i] = watch_slab_[b.offset + b.size - 1];
-        --b.size;
-        continue;
-      }
-      // No unmatched literal remains: promote to the violated list and
-      // switch to all-watch mode (stale flags are reused where present).
-      enter_violated(ng);
-      for (std::uint32_t p = 0; p < L.len; ++p) {
-        const std::size_t pslot = L.offset + p;
-        if (watched_[pslot]) continue;
-        ++work_ops_;
-        watched_[pslot] = 1;
-        watch_push(arena_vars_[pslot], Watch{ng, p, arena_vals_[pslot]});
-      }
-      ++i;
-      continue;
-    }
-    // was && !now: the watched literal just un-matched.
-    if (violated) {
-      leave_violated(ng);
-      // Demote to a single live watch on the literal that just un-matched
-      // (re-establishing the invariant directly); the other all-watch
-      // entries go stale and are collected lazily.
-      watch1_[ng] = w.pos;
-      watch2_[ng] = w.pos;
-    }
-    ++i;
-  }
-}
-
 void NogoodStore::set_view(VarId var, Value value) {
   assert(var != own_ && "the own variable is tracked via set_own_value");
   ensure_var(var);
@@ -253,10 +52,6 @@ void NogoodStore::set_view(VarId var, Value value) {
   if (slot == value) return;
   const Value old = slot;
   slot = value;
-  if (kernel_ == StoreKernel::kWatched) {
-    watch_set_view(var, old, value);
-    return;
-  }
   for (const Occ& o : occ_[static_cast<std::size_t>(var)]) {
     ++work_ops_;
     const bool was = o.bound == old;
@@ -293,48 +88,28 @@ void NogoodStore::insert_unchecked(Nogood ng, Meta meta) {
   buckets_[static_cast<std::size_t>(v)].push_back(idx);
   max_size_ = std::max(max_size_, ng.size());
 
-  // Kernel/arena bookkeeping: append the non-own literals to the arena,
-  // count the ones already matching the view, and either index their
-  // occurrences (counters) or note the first two unmatched ones (watched).
+  // Arena/counter bookkeeping: append the non-own literals to the arena,
+  // index their occurrences, and count the ones already matching the view.
   Lits lits{static_cast<std::uint32_t>(arena_vars_.size()), 0};
   std::uint32_t matched = 0;
-  std::uint32_t first_unmatched = kNoPos;
-  std::uint32_t second_unmatched = kNoPos;
   for (const Assignment& a : ng) {
     if (a.var == own_) continue;
     ++work_ops_;
     ensure_var(a.var);
     arena_vars_.push_back(a.var);
     arena_vals_.push_back(a.value);
-    if (kernel_ == StoreKernel::kCounters) {
-      occ_[static_cast<std::size_t>(a.var)].push_back(Occ{idx, a.value});
-    }
-    if (view_[static_cast<std::size_t>(a.var)] == a.value) {
-      ++matched;
-    } else if (first_unmatched == kNoPos) {
-      first_unmatched = lits.len;
-    } else if (second_unmatched == kNoPos) {
-      second_unmatched = lits.len;
-    }
+    occ_[static_cast<std::size_t>(a.var)].push_back(Occ{idx, a.value});
+    if (view_[static_cast<std::size_t>(a.var)] == a.value) ++matched;
     ++lits.len;
   }
   arena_live_ += lits.len;
   lits_.push_back(lits);
-  // matched_ drives the counter kernel only; under watched it is a frozen
-  // insert-time snapshot (matched_except_own reads vpos_ instead).
   matched_.push_back(matched);
   own_binding_.push_back(v);
   vpos_.push_back(kNoPos);
   nogoods_.push_back(std::move(ng));
   meta_.push_back(meta);
-  if (kernel_ == StoreKernel::kWatched) {
-    watched_.resize(arena_vars_.size(), 0);
-    watch1_.push_back(kNoPos);
-    watch2_.push_back(kNoPos);
-    watch_attach(idx, first_unmatched, second_unmatched, matched == lits.len);
-  } else if (matched == lits.len) {
-    enter_violated(idx);
-  }
+  if (matched == lits.len) enter_violated(idx);
 }
 
 void NogoodStore::compact_arena() {
@@ -342,11 +117,8 @@ void NogoodStore::compact_arena() {
   // cache-linear along bucket walks.
   std::vector<VarId> vars;
   std::vector<Value> vals;
-  std::vector<std::uint8_t> flags;
   vars.reserve(arena_live_);
   vals.reserve(arena_live_);
-  const bool watched = kernel_ == StoreKernel::kWatched;
-  if (watched) flags.reserve(arena_live_);
   for (std::size_t idx = 0; idx < lits_.size(); ++idx) {
     Lits& l = lits_[idx];
     const auto offset = static_cast<std::uint32_t>(vars.size());
@@ -354,16 +126,10 @@ void NogoodStore::compact_arena() {
                 arena_vars_.begin() + l.offset + l.len);
     vals.insert(vals.end(), arena_vals_.begin() + l.offset,
                 arena_vals_.begin() + l.offset + l.len);
-    if (watched) {
-      // Watch flags live in arena coordinates and move with their slots.
-      flags.insert(flags.end(), watched_.begin() + l.offset,
-                   watched_.begin() + l.offset + l.len);
-    }
     l.offset = offset;
   }
   arena_vars_ = std::move(vars);
   arena_vals_ = std::move(vals);
-  if (watched) watched_ = std::move(flags);
 }
 
 void NogoodStore::remove_at(std::size_t idx) {
@@ -373,20 +139,16 @@ void NogoodStore::remove_at(std::size_t idx) {
   const Nogood& victim = nogoods_[idx];
   const auto idx32 = static_cast<std::uint32_t>(idx);
   if (vpos_[idx] != kNoPos) leave_violated(idx32);
-  if (kernel_ == StoreKernel::kWatched) {
-    watch_detach(idx32);
-  } else {
-    // Drop the victim's occurrence-index entries (swap-removal: occurrence
-    // order within a variable's list carries no meaning).
-    for (const VarId var : lit_vars(idx)) {
-      ++work_ops_;
-      auto& occs = occ_[static_cast<std::size_t>(var)];
-      auto it = std::find_if(occs.begin(), occs.end(),
-                             [&](const Occ& o) { return o.ng == idx32; });
-      assert(it != occs.end());
-      *it = occs.back();
-      occs.pop_back();
-    }
+  // Drop the victim's occurrence-index entries (swap-removal: occurrence
+  // order within a variable's list carries no meaning).
+  for (const VarId var : lit_vars(idx)) {
+    ++work_ops_;
+    auto& occs = occ_[static_cast<std::size_t>(var)];
+    auto it = std::find_if(occs.begin(), occs.end(),
+                           [&](const Occ& o) { return o.ng == idx32; });
+    assert(it != occs.end());
+    *it = occs.back();
+    occs.pop_back();
   }
   arena_live_ -= lits_[idx].len;  // the arena slice becomes a hole
   // Drop the victim's bucket and dedup references.
@@ -406,17 +168,13 @@ void NogoodStore::remove_at(std::size_t idx) {
     *std::find(moved_dup.begin(), moved_dup.end(), last32) = idx32;
     auto& moved_bucket = buckets_[static_cast<std::size_t>(moved.value_of(own_))];
     *std::find(moved_bucket.begin(), moved_bucket.end(), last32) = idx32;
-    if (kernel_ == StoreKernel::kWatched) {
-      watch_repoint(last32, idx32);
-    } else {
-      for (const VarId var : lit_vars(last)) {
-        ++work_ops_;
-        auto& occs = occ_[static_cast<std::size_t>(var)];
-        auto it = std::find_if(occs.begin(), occs.end(),
-                               [&](const Occ& o) { return o.ng == last32; });
-        assert(it != occs.end());
-        it->ng = idx32;
-      }
+    for (const VarId var : lit_vars(last)) {
+      ++work_ops_;
+      auto& occs = occ_[static_cast<std::size_t>(var)];
+      auto it = std::find_if(occs.begin(), occs.end(),
+                             [&](const Occ& o) { return o.ng == last32; });
+      assert(it != occs.end());
+      it->ng = idx32;
     }
     if (vpos_[last] != kNoPos) {
       violated_[static_cast<std::size_t>(own_binding_[last])][vpos_[last]] = idx32;
@@ -427,10 +185,6 @@ void NogoodStore::remove_at(std::size_t idx) {
     matched_[idx] = matched_[last];
     own_binding_[idx] = own_binding_[last];
     vpos_[idx] = vpos_[last];
-    if (kernel_ == StoreKernel::kWatched) {
-      watch1_[idx] = watch1_[last];
-      watch2_[idx] = watch2_[last];
-    }
   }
   nogoods_.pop_back();
   meta_.pop_back();
@@ -438,10 +192,6 @@ void NogoodStore::remove_at(std::size_t idx) {
   matched_.pop_back();
   own_binding_.pop_back();
   vpos_.pop_back();
-  if (kernel_ == StoreKernel::kWatched) {
-    watch1_.pop_back();
-    watch2_.pop_back();
-  }
 
   if (arena_vars_.size() > 2 * arena_live_ + 64) compact_arena();
 }

@@ -22,24 +22,6 @@
 // initialization on add, occurrence repointing on remove — are cache-linear
 // instead of chasing per-nogood allocations.
 //
-// Watched-literal kernel (--store-kernel=watched): instead of counting
-// matches per nogood, each nogood keeps up to two watch positions on
-// currently-unmatched non-own literals, laid out in a bucketed arena of
-// per-variable watch lists beside the literal arena (no per-nogood heap
-// nodes). A view update for variable v walks only v's watch bucket: a watch
-// whose literal just matched either suspends (the other watch still guards
-// an unmatched literal), relocates to another unmatched literal, or — when
-// none remains — promotes the nogood into the per-own-value violated_ lists,
-// at which point *every* literal becomes watched so any future un-match is
-// observed and demotes it again. Unwatching is lazy: demotion leaves the
-// extra watch entries in place and they are collected the next time their
-// bucket is walked with a relevant delta. The violated_ lists, and with them
-// violated_count / violated_with_own / currently_violated and the eviction
-// guard, are maintained exactly as in the counter kernel, so the two kernels
-// are observationally identical (the differential fuzzer in
-// tests/test_watched_kernel.cpp holds them to that) and paper metrics stay
-// bit-identical. See docs/PERF.md for the invariant argument.
-//
 // Graceful degradation: `set_capacity` bounds the number of resident
 // *learned* nogoods (initial problem constraints are never counted and
 // never evicted — dropping them would break soundness). When a bounded add
@@ -60,20 +42,14 @@
 #include <vector>
 
 #include "csp/nogood.h"
-#include "csp/store_kernel.h"
 
 namespace discsp {
 
 class NogoodStore {
  public:
   /// `own` is the variable every stored nogood must mention;
-  /// `domain_size` fixes the bucket count. `kernel` selects the consistency
-  /// engine (counters vs two-watched-literals); every query answers
-  /// identically either way, only the machine cost differs.
-  NogoodStore(VarId own, int domain_size,
-              StoreKernel kernel = StoreKernel::kCounters);
-
-  StoreKernel kernel() const { return kernel_; }
+  /// `domain_size` fixes the bucket count.
+  NogoodStore(VarId own, int domain_size);
 
   /// Insert a nogood. Returns false (and stores nothing) when an equal
   /// nogood is already present, or when the store is at capacity and no
@@ -141,8 +117,6 @@ class NogoodStore {
   /// them in — resolvent source selection depends on it).
   void violated_with_own(Value d, std::vector<std::uint32_t>& out) const;
   /// True iff all non-own literals of nogood `idx` match the mirrored view.
-  /// Kernel-independent: membership in a violated_ list is maintained to be
-  /// exactly this predicate by both engines.
   bool matched_except_own(std::size_t idx) const {
     return vpos_[idx] != kNoPos;
   }
@@ -204,21 +178,6 @@ class NogoodStore {
     std::uint32_t ng = 0;  ///< nogood index
     Value bound = kNoValue;  ///< the value the literal binds the variable to
   };
-  /// One entry in a variable's watch bucket (watched kernel). `bound` is
-  /// cached in-entry so deltas that cannot affect the literal are skipped
-  /// without touching the nogood's data at all.
-  struct Watch {
-    std::uint32_t ng = 0;    ///< nogood index
-    std::uint32_t pos = 0;   ///< literal position within the nogood's slice
-    Value bound = kNoValue;  ///< the value the literal binds the variable to
-  };
-  /// Per-variable slice of the shared watch slab (offset/size/capacity —
-  /// buckets grow by relocating to the slab's end, never per-node heap).
-  struct WatchBucket {
-    std::uint32_t offset = 0;
-    std::uint32_t size = 0;
-    std::uint32_t cap = 0;
-  };
   static constexpr std::uint32_t kNoPos = 0xffffffffu;
 
   void insert_unchecked(Nogood ng, Meta meta);
@@ -234,30 +193,7 @@ class NogoodStore {
   /// Rebuild the arena without the holes left by removals.
   void compact_arena();
 
-  // --- watched-kernel machinery ---
-  /// Append one entry to `var`'s watch bucket, relocating the bucket within
-  /// the slab when it is full.
-  void watch_push(VarId var, Watch w);
-  /// Squeeze relocation holes out of the watch slab.
-  void compact_watch_slab();
-  /// Select nogood `idx`'s initial watches from the current view (insert
-  /// path). `first_unmatched`/`second_unmatched` come from the insert scan
-  /// (kNoPos = none); `all_matched` says every non-own literal matches.
-  void watch_attach(std::uint32_t idx, std::uint32_t first_unmatched,
-                    std::uint32_t second_unmatched, bool all_matched);
-  /// Physically remove every watch entry of nogood `idx` (remove path).
-  void watch_detach(std::uint32_t idx);
-  /// Repoint the entries of the swap-moved last nogood to its new index.
-  void watch_repoint(std::uint32_t from, std::uint32_t to);
-  /// The watched kernel's view-update walk (set_view tail).
-  void watch_set_view(VarId var, Value old_value, Value new_value);
-  bool literal_matches(std::size_t arena_slot) const {
-    const auto v = static_cast<std::size_t>(arena_vars_[arena_slot]);
-    return v < view_.size() && view_[v] == arena_vals_[arena_slot];
-  }
-
   VarId own_;
-  StoreKernel kernel_ = StoreKernel::kCounters;
   Value own_value_ = kNoValue;
   std::vector<Nogood> nogoods_;
   std::vector<Meta> meta_;
@@ -277,17 +213,6 @@ class NogoodStore {
   std::vector<Value> own_binding_;          // nogood -> own-variable value
   std::vector<std::vector<std::uint32_t>> violated_;  // own value -> violated nogoods
   std::vector<std::uint32_t> vpos_;         // nogood -> position in its violated list
-
-  // Watched-kernel state (unused under kCounters). The slab is one
-  // contiguous array shared by every variable's bucket; `watched_` flags,
-  // parallel to the literal arena, record which literals have a physical
-  // entry so lazy collection and re-watching never duplicate one.
-  std::vector<Watch> watch_slab_;
-  std::vector<WatchBucket> watch_buckets_;  // var -> bucket
-  std::size_t watch_dead_ = 0;              // slab slots orphaned by relocation
-  std::vector<std::uint32_t> watch1_;       // nogood -> watched literal position
-  std::vector<std::uint32_t> watch2_;       // nogood -> other watched position
-  std::vector<std::uint8_t> watched_;       // arena slot -> entry exists
 
   std::size_t capacity_ = 0;  // learned-nogood bound; 0 = unbounded
   std::uint64_t clock_ = 0;   // violation-recency clock

@@ -1,7 +1,6 @@
 #include "db/db_agent.h"
 
 #include <algorithm>
-#include <cassert>
 #include <limits>
 #include <stdexcept>
 
@@ -22,38 +21,22 @@ DbAgent::DbAgent(AgentId id, VarId var, int domain_size, Value initial_value,
     improve_seen_[n] = 0;
     improve_of_[n] = NeighborImprove{};
   }
-  // Build the literal index once: DB's nogood set is fixed for the run.
-  // Counters get a var->occurrence index; the watched kernel gets an SoA
-  // literal arena (contiguous per nogood) that the watch walk scans.
-  const bool watched = config_.kernel == StoreKernel::kWatched;
+  // Build the occurrence index once: DB's nogood set is fixed for the run.
   matched_.assign(nogoods_.size(), 0);
   needed_.assign(nogoods_.size(), 0);
   own_binding_.assign(nogoods_.size(), kNoValue);
   cost_.assign(static_cast<std::size_t>(domain_size_), 0);
-  if (watched) lit_off_.assign(nogoods_.size(), 0);
   for (std::size_t i = 0; i < nogoods_.size(); ++i) {
-    if (watched) lit_off_[i] = static_cast<std::uint32_t>(lit_var_.size());
     for (const Assignment& a : nogoods_[i]) {
       if (a.var == var_) {
         own_binding_[i] = a.value;
         continue;
       }
       ensure_var(a.var);
-      if (watched) {
-        lit_var_.push_back(a.var);
-        lit_val_.push_back(a.value);
-      } else {
-        occ_[static_cast<std::size_t>(a.var)].push_back(
-            Occ{static_cast<std::uint32_t>(i), a.value});
-      }
+      occ_[static_cast<std::size_t>(a.var)].push_back(
+          Occ{static_cast<std::uint32_t>(i), a.value});
       ++needed_[i];
     }
-  }
-  if (watched) {
-    full_.assign(nogoods_.size(), 0);
-    watch1_.assign(nogoods_.size(), kNoSlot);
-    watch2_.assign(nogoods_.size(), kNoSlot);
-    watch_flag_.assign(lit_var_.size(), 0);
   }
   rebuild_costs();
 }
@@ -62,11 +45,7 @@ void DbAgent::ensure_var(VarId var) {
   const auto v = static_cast<std::size_t>(var);
   if (v >= view_.size()) {
     view_.resize(v + 1, kNoValue);
-    if (config_.kernel == StoreKernel::kWatched) {
-      watch_of_.resize(v + 1);
-    } else {
-      occ_.resize(v + 1);
-    }
+    occ_.resize(v + 1);
   }
 }
 
@@ -84,10 +63,6 @@ void DbAgent::set_view(VarId var, Value value) {
   if (slot == value) return;
   const Value old = slot;
   slot = value;
-  if (config_.kernel == StoreKernel::kWatched) {
-    watch_set_view(var, old, value);
-    return;
-  }
   for (const Occ& o : occ_[static_cast<std::size_t>(var)]) {
     ++work_ops_;
     const bool was = o.bound == old;
@@ -111,12 +86,6 @@ void DbAgent::rebuild_costs() {
   // replaced the weights wholesale, so the deltas are not reconstructible.
   std::fill(cost_.begin(), cost_.end(), std::int64_t{0});
   global_cost_ = 0;
-  if (config_.kernel == StoreKernel::kWatched) {
-    for (auto& bucket : watch_of_) bucket.clear();
-    std::fill(watch_flag_.begin(), watch_flag_.end(), 0);
-    for (std::size_t i = 0; i < nogoods_.size(); ++i) watch_attach(i);
-    return;
-  }
   for (std::size_t i = 0; i < nogoods_.size(); ++i) {
     std::uint32_t matched = 0;
     for (const Assignment& a : nogoods_[i]) {
@@ -126,110 +95,6 @@ void DbAgent::rebuild_costs() {
     }
     matched_[i] = matched;
     if (matched == needed_[i]) add_cost(i, weights_[i]);
-  }
-}
-
-void DbAgent::watch_push(std::size_t i, std::uint32_t slot) {
-  if (watch_flag_[slot]) return;  // a stale entry is reused by re-flagging it
-  watch_flag_[slot] = 1;
-  watch_of_[static_cast<std::size_t>(lit_var_[slot])].push_back(
-      Watch{static_cast<std::uint32_t>(i), slot, lit_val_[slot]});
-}
-
-void DbAgent::watch_attach(std::size_t i) {
-  const std::uint32_t off = lit_off_[i];
-  const std::uint32_t len = needed_[i];
-  std::uint32_t u1 = kNoSlot;
-  std::uint32_t u2 = kNoSlot;
-  for (std::uint32_t s = off; s < off + len; ++s) {
-    ++work_ops_;
-    if (literal_matches(s)) continue;
-    if (u1 == kNoSlot) {
-      u1 = s;
-    } else {
-      u2 = s;
-      break;
-    }
-  }
-  if (u1 == kNoSlot) {
-    // Fully matched (vacuously when the nogood has no non-own literals):
-    // count it and enter all-watch mode so any future un-match is observed.
-    full_[i] = 1;
-    add_cost(i, weights_[i]);
-    for (std::uint32_t s = off; s < off + len; ++s) watch_push(i, s);
-    watch1_[i] = watch2_[i] = len > 0 ? off : kNoSlot;
-    return;
-  }
-  full_[i] = 0;
-  watch1_[i] = u1;
-  watch2_[i] = u2 == kNoSlot ? u1 : u2;
-  watch_push(i, watch1_[i]);
-  if (watch2_[i] != watch1_[i]) watch_push(i, watch2_[i]);
-}
-
-void DbAgent::watch_set_view(VarId var, Value old_value, Value new_value) {
-  // Same walk as NogoodStore::watch_set_view, with the violated_ list
-  // transitions replaced by the full_ bit and the weighted cost sums.
-  auto& bucket = watch_of_[static_cast<std::size_t>(var)];
-  for (std::size_t k = 0; k < bucket.size();) {
-    ++work_ops_;
-    const Watch w = bucket[k];
-    const bool was = w.bound == old_value;
-    const bool now = w.bound == new_value;
-    if (was == now) {  // skip-fast: delta irrelevant to this literal
-      ++k;
-      continue;
-    }
-    const std::size_t i = w.ng;
-    const bool live = full_[i] != 0 || w.slot == watch1_[i] || w.slot == watch2_[i];
-    if (!live) {  // lazily collect an entry orphaned by demotion
-      watch_flag_[w.slot] = 0;
-      bucket[k] = bucket.back();
-      bucket.pop_back();
-      continue;  // a new entry now sits at k
-    }
-    if (now) {
-      if (full_[i]) {  // all-watch entry; the nogood is already counted
-        ++k;
-        continue;
-      }
-      const std::uint32_t other = watch1_[i] == w.slot ? watch2_[i] : watch1_[i];
-      if (other != w.slot && !literal_matches(other)) {
-        ++k;  // suspend: the other watch still certifies "not full"
-        continue;
-      }
-      const std::uint32_t off = lit_off_[i];
-      const std::uint32_t len = needed_[i];
-      std::uint32_t target = kNoSlot;
-      for (std::uint32_t s = off; s < off + len; ++s) {
-        ++work_ops_;
-        if (s == watch1_[i] || s == watch2_[i]) continue;
-        if (!literal_matches(s)) {
-          target = s;
-          break;
-        }
-      }
-      if (target == kNoSlot) {  // last unmatched literal matched: promote
-        full_[i] = 1;
-        add_cost(i, weights_[i]);
-        for (std::uint32_t s = off; s < off + len; ++s) watch_push(i, s);
-        ++k;
-      } else {  // relocate the watch onto the replacement literal
-        if (watch1_[i] == w.slot) watch1_[i] = target;
-        if (watch2_[i] == w.slot) watch2_[i] = target;
-        watch_push(i, target);
-        watch_flag_[w.slot] = 0;
-        bucket[k] = bucket.back();
-        bucket.pop_back();
-      }
-    } else {  // un-match of a live watch
-      if (full_[i]) {  // demote; the other all-watch entries go stale lazily
-        full_[i] = 0;
-        add_cost(i, -weights_[i]);
-        watch1_[i] = watch2_[i] = w.slot;
-      }
-      ++k;
-    }
   }
 }
 
@@ -424,9 +289,7 @@ void DbAgent::conclude_wave(sim::MessageSink& out) {
     for (std::size_t i = 0; i < nogoods_.size(); ++i) {
       ++checks_;
       ++work_ops_;
-      const bool fully_matched = config_.kernel == StoreKernel::kWatched
-                                     ? full_[i] != 0
-                                     : matched_[i] == needed_[i];
+      const bool fully_matched = matched_[i] == needed_[i];
       const bool violated =
           config_.incremental
               ? fully_matched &&

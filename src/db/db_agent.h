@@ -23,17 +23,6 @@
 // own variable) under view updates. With config.incremental (the default)
 // eval(d) is a counter read credited with the scan's check count, so paper
 // metrics are bit-identical between the two paths.
-//
-// With config.kernel == kWatched the counters are replaced by DB's own copy
-// of the two-watched-literal engine (see csp/nogood_store.h for the full
-// invariant discussion): each not-fully-matched nogood watches two
-// currently-unmatched non-own literals, a view update walks only the changed
-// variable's watch list, and a nogood whose last unmatched literal matches
-// flips a `full_` bit and folds its weight into the cost sums — the same
-// add_cost sink the counter path feeds, so eval() and the paper metrics are
-// unchanged. DB duplicates the engine rather than sharing the store's
-// because its sink is a weighted cost sum, not a violated list (the same
-// reason it already duplicated the counter engine).
 #pragma once
 
 #include <cstdint>
@@ -42,7 +31,6 @@
 
 #include "common/rng.h"
 #include "csp/nogood.h"
-#include "csp/store_kernel.h"
 #include "recovery/journal.h"
 #include "sim/agent.h"
 
@@ -57,8 +45,6 @@ struct DbAgentConfig {
   /// Cost evaluations through the match counters instead of nogood scans.
   /// Metrics are bit-identical either way.
   bool incremental = true;
-  /// Consistency engine behind the cost sums (--store-kernel).
-  StoreKernel kernel = StoreKernel::kCounters;
 };
 
 class DbAgent final : public sim::Agent {
@@ -112,16 +98,6 @@ class DbAgent final : public sim::Agent {
     std::uint32_t ng = 0;
     Value bound = kNoValue;
   };
-  /// One watch entry: nogood `ng` watches literal arena slot `slot`, whose
-  /// bound value is cached so an irrelevant delta skips without touching the
-  /// nogood's data (kWatched only).
-  struct Watch {
-    std::uint32_t ng = 0;
-    std::uint32_t slot = 0;
-    Value bound = kNoValue;
-  };
-  static constexpr std::uint32_t kNoSlot = 0xffffffffu;
-
   /// Weighted cost of taking value d under the current view. Both paths
   /// credit one check per stored nogood (the paper's metric).
   std::int64_t eval(Value d);
@@ -133,16 +109,6 @@ class DbAgent final : public sim::Agent {
   void rebuild_costs();
   /// Add `delta` to the cost bucket nogood `i` feeds.
   void add_cost(std::size_t i, std::int64_t delta);
-  /// kWatched: walk `var`'s watch list for a view change old -> new.
-  void watch_set_view(VarId var, Value old_value, Value new_value);
-  /// kWatched: (re)attach nogood `i`'s watches under the current view and
-  /// fold its weight into the cost sums if fully matched.
-  void watch_attach(std::size_t i);
-  /// kWatched: ensure a physical watch entry exists for arena slot `slot`.
-  void watch_push(std::size_t i, std::uint32_t slot);
-  bool literal_matches(std::uint32_t slot) const {
-    return view_value(lit_var_[slot]) == lit_val_[slot];
-  }
   /// Grow the view / occurrence tables to cover `var`.
   void ensure_var(VarId var);
   Value view_value(VarId v) const {
@@ -175,17 +141,6 @@ class DbAgent final : public sim::Agent {
   std::vector<Value> own_binding_;          // nogood -> own value (kNoValue = absent)
   std::vector<std::int64_t> cost_;          // own value -> weighted violation cost
   std::int64_t global_cost_ = 0;            // nogoods not mentioning the own var
-
-  // Watched-kernel state (config_.kernel == kWatched; empty otherwise). The
-  // non-own literals live in an SoA arena, contiguous per nogood.
-  std::vector<VarId> lit_var_;              // arena slot -> variable
-  std::vector<Value> lit_val_;              // arena slot -> bound value
-  std::vector<std::uint32_t> lit_off_;      // nogood -> first arena slot
-  std::vector<std::uint8_t> full_;          // nogood -> all non-own literals match
-  std::vector<std::uint32_t> watch1_;       // nogood -> watched arena slot
-  std::vector<std::uint32_t> watch2_;       // nogood -> other watched slot
-  std::vector<std::uint8_t> watch_flag_;    // arena slot -> entry exists
-  std::vector<std::vector<Watch>> watch_of_;  // var -> watch entries
 
   // Wave bookkeeping, by round. round_ r means: ok? announcements for round
   // r have been broadcast; wave A of round r completes when every neighbor's

@@ -6,7 +6,6 @@
 
 #include "common/rng.h"
 #include "csp/distributed_problem.h"
-#include "csp/store_kernel.h"
 #include "recovery/journal.h"
 #include "sim/metrics.h"
 #include "sim/sync_engine.h"
@@ -21,8 +20,6 @@ struct DbOptions {
   /// Counter-based cost evaluations (paper metrics are bit-identical to the
   /// scan path; see docs/PERF.md).
   bool incremental = true;
-  /// Consistency engine behind the cost sums (--store-kernel).
-  StoreKernel kernel = StoreKernel::kCounters;
 };
 
 class DbSolver {

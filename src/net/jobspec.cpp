@@ -136,7 +136,6 @@ std::vector<std::unique_ptr<sim::Agent>> make_job_agents(
     options.journal_config.checkpoint_interval =
         static_cast<std::size_t>(bundle.checkpoint_interval);
     options.incremental = bundle.incremental;
-    options.kernel = store_kernel_from_string(bundle.store_kernel);
     auto strategy = learning::make_strategy(bundle.strategy);
     awc::AwcSolver solver(bundle.instance, *strategy, options);
     return solver.make_agents(bundle.initial, rng.derive(1));
@@ -146,7 +145,6 @@ std::vector<std::unique_ptr<sim::Agent>> make_job_agents(
   options.journal_config.checkpoint_interval =
       static_cast<std::size_t>(bundle.checkpoint_interval);
   options.incremental = bundle.incremental;
-  options.kernel = store_kernel_from_string(bundle.store_kernel);
   db::DbSolver solver(bundle.instance, options);
   return solver.make_agents(bundle.initial, rng.derive(1));
 }

@@ -453,10 +453,13 @@ TEST(NetLoopbackChaos, MigrationAndFailoverCompose) {
     auto listener = transport.listen("migrate-failover");
     first = net::serve(*listener, config);
   }
+  // The victim exits 150 ms after attaching (or at an earlier stop); join it
+  // before its result is read, so the read is ordered after the write.
+  threads[2].join();
   if (!first.halted || !results[2].killed || first.agent_migrations == 0) {
     // The solve (or the kill/dead-window race) beat the timeline; the
     // composition under test never materialised this run.
-    for (auto& t : threads) t.join();
+    for (int i = 0; i < 2; ++i) threads[static_cast<std::size_t>(i)].join();
     GTEST_SKIP() << "halt/migration race lost: halted=" << first.halted
                  << " migrations=" << first.agent_migrations;
   }
@@ -466,7 +469,7 @@ TEST(NetLoopbackChaos, MigrationAndFailoverCompose) {
   resume.resume = true;
   auto listener = transport.listen("migrate-failover");
   const ServeResult second = net::serve(*listener, resume);
-  for (auto& t : threads) t.join();
+  for (int i = 0; i < 2; ++i) threads[static_cast<std::size_t>(i)].join();
 
   ASSERT_TRUE(second.error.empty()) << second.error;
   EXPECT_TRUE(second.resumed);

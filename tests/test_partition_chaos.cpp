@@ -370,6 +370,16 @@ TEST(ReproBundle, ReplaysBitIdenticallyAfterRoundTrip) {
   EXPECT_EQ(first.metrics.malformed_frames, second.metrics.malformed_frames);
   EXPECT_EQ(first.metrics.monitor.violations, second.metrics.monitor.violations);
   EXPECT_EQ(first.assignment, second.assignment);
+
+  // Bundles written while the store had a second consistency engine carry a
+  // `store-kernel` line. It no longer selects anything, but such bundles
+  // must still load and replay to their recorded outcome.
+  std::string text = stream.str();
+  EXPECT_EQ(text.find("store-kernel"), std::string::npos);
+  text.insert(text.find('\n') + 1, "store-kernel watched\n");
+  std::istringstream legacy(text);
+  const analysis::ReproBundle old = analysis::read_bundle(legacy);
+  EXPECT_TRUE(analysis::matches_observed(old, analysis::run_bundle(old)));
 }
 
 TEST(ReproBundle, RejectsMalformedInput) {
@@ -387,6 +397,15 @@ TEST(ReproBundle, RejectsMalformedInput) {
   // Unterminated instance block.
   EXPECT_THROW(parse("repro 1\ninstance-begin\ndcsp 1\nvars 0\n"),
                std::runtime_error);
+  // A legacy store-kernel line must still name one of the old engines.
+  try {
+    parse("repro 1\nstore-kernel bogus\n");
+    ADD_FAILURE() << "store-kernel bogus was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("store-kernel must be counters or watched"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

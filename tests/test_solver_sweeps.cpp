@@ -23,6 +23,12 @@ struct TopologyCase {
   bool solvable;
 };
 
+// Without this, gtest names each case by a byte dump of the struct, which
+// holds pointers and so changes from one process to the next.
+void PrintTo(const TopologyCase& tc, std::ostream* os) {
+  *os << tc.name << (tc.solvable ? "/solvable" : "/unsolvable");
+}
+
 std::vector<TopologyCase> topology_cases() {
   return {
       {"ring7_3c", gen::ring_edges(7), 7, 3, true},

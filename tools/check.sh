@@ -35,7 +35,7 @@ echo "--- TSan: thread runtime + fault layer + net transport tests ---"
 # NetBatching* drives the lock-free ring and coalesced-TCP carrier paths at
 # batch 1 and 64 (SPSC ring + overflow handoff, eventcount park/wake).
 if ! "${prefix}-tsan/tests/discsp_tests" \
-    --gtest_filter='ThreadRuntime*:FaultPlan*:FaultChaos*:AmnesiaChaos*:PartitionChaos*:CorruptionChaos*:*Credit*:NetLoopback*:NetSupervisor*:NetBatching*:WatchedKernel*'; then
+    --gtest_filter='ThreadRuntime*:FaultPlan*:FaultChaos*:AmnesiaChaos*:PartitionChaos*:CorruptionChaos*:*Credit*:NetLoopback*:NetSupervisor*:NetBatching*'; then
   echo "TSan leg failed." >&2
   exit 1
 fi
@@ -48,11 +48,13 @@ cmake -B "${prefix}-asan" -S . \
       -DDISCSP_BUILD_EXAMPLES=OFF >/dev/null
 cmake --build "${prefix}-asan" -j "${jobs}" --target discsp_tests
 
-echo "--- ASan+UBSan: wire decode fuzz + corruption/partition chaos ---"
+echo "--- ASan+UBSan: wire decode fuzz + corruption/partition chaos + store churn ---"
 # The decoder fuzz tests feed adversarial frames straight into the parser;
-# ASan/UBSan turn any out-of-bounds read or signed overflow into a failure.
+# IncrementalView* churns the nogood store (add/remove/evict/compact against
+# a brute-force oracle). ASan/UBSan turn any out-of-bounds read or signed
+# overflow into a failure.
 if ! "${prefix}-asan/tests/discsp_tests" \
-    --gtest_filter='WireFormat*:ChannelGuardPolicy*:DcspDigest*:ReproBundle*:MonitorOracle*:PartitionSchedule*:PartitionChaos*:CorruptionChaos*:WatchedKernel*'; then
+    --gtest_filter='WireFormat*:ChannelGuardPolicy*:DcspDigest*:ReproBundle*:MonitorOracle*:PartitionSchedule*:PartitionChaos*:CorruptionChaos*:IncrementalView*'; then
   echo "ASan leg failed." >&2
   exit 1
 fi
