@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 namespace discsp::db {
 
@@ -16,11 +17,24 @@ DbAgent::DbAgent(AgentId id, VarId var, int domain_size, Value initial_value,
   if (initial_value < 0 || initial_value >= domain_size) {
     throw std::invalid_argument("initial value outside domain");
   }
-  for (AgentId n : neighbors_) {
-    ok_seen_[n] = 0;
-    improve_seen_[n] = 0;
-    improve_of_[n] = NeighborImprove{};
+  const std::string self = "DB agent " + std::to_string(id_) + ": ";
+  for (std::size_t k = 0; k < neighbors_.size(); ++k) {
+    const AgentId n = neighbors_[k];
+    if (n < 0) {
+      throw std::invalid_argument(self + "negative neighbor id " + std::to_string(n));
+    }
+    if (n == id_) {
+      throw std::invalid_argument(self + "lists itself (" + std::to_string(n) +
+                                  ") as a neighbor");
+    }
+    const auto a = static_cast<std::size_t>(n);
+    if (a >= slot_of_.size()) slot_of_.resize(a + 1, kNoSlot);
+    if (slot_of_[a] != kNoSlot) {
+      throw std::invalid_argument(self + "duplicate neighbor id " + std::to_string(n));
+    }
+    slot_of_[a] = static_cast<std::uint32_t>(k);
   }
+  slots_.assign(neighbors_.size(), NeighborState{});
   // Build the occurrence index once: DB's nogood set is fixed for the run.
   matched_.assign(nogoods_.size(), 0);
   needed_.assign(nogoods_.size(), 0);
@@ -162,19 +176,20 @@ void DbAgent::receive(const sim::MessagePayload& msg) {
           // a stale reordered one is discarded instead of regressing the
           // view. Under reliable FIFO the seq is strictly increasing and
           // every message is applied, exactly like the unguarded original.
-          auto seen = ok_seen_.find(m.sender);
-          if (seen == ok_seen_.end()) return;  // not a neighbor of ours
-          if (m.seq >= seen->second) {
-            seen->second = m.seq;
+          NeighborState* from = slot_for(m.sender);
+          if (from == nullptr) return;  // not a neighbor of ours
+          if (m.seq >= from->ok_round) {
+            from->ok_round = m.seq;
             set_view(m.var, m.value);
           }
           catch_up(m.seq);
         } else if constexpr (std::is_same_v<T, sim::ImproveMessage>) {
-          auto seen = improve_seen_.find(m.sender);
-          if (seen == improve_seen_.end()) return;
-          if (m.seq >= seen->second) {
-            seen->second = m.seq;
-            improve_of_[m.sender] = NeighborImprove{m.improve, m.eval};
+          NeighborState* from = slot_for(m.sender);
+          if (from == nullptr) return;
+          if (m.seq >= from->improve_round) {
+            from->improve_round = m.seq;
+            from->improve = m.improve;
+            from->eval = m.eval;
           }
           catch_up(m.seq);
         } else {
@@ -200,15 +215,15 @@ void DbAgent::catch_up(std::uint64_t seq) {
 }
 
 bool DbAgent::wave_a_complete() const {
-  for (AgentId n : neighbors_) {
-    if (ok_seen_.at(n) < round_) return false;
+  for (const NeighborState& s : slots_) {
+    if (s.ok_round < round_) return false;
   }
   return true;
 }
 
 bool DbAgent::wave_b_complete() const {
-  for (AgentId n : neighbors_) {
-    if (improve_seen_.at(n) < round_) return false;
+  for (const NeighborState& s : slots_) {
+    if (s.improve_round < round_) return false;
   }
   return true;
 }
@@ -265,13 +280,14 @@ void DbAgent::conclude_wave(sim::MessageSink& out) {
   bool any_positive_neighbor = false;
   AgentId best_neighbor = kNoAgent;
   std::int64_t best_neighbor_improve = 0;
-  for (AgentId n : neighbors_) {
-    const NeighborImprove& im = improve_of_.at(n);
-    if (im.improve > 0) any_positive_neighbor = true;
-    if (best_neighbor == kNoAgent || im.improve > best_neighbor_improve ||
-        (im.improve == best_neighbor_improve && n < best_neighbor)) {
+  for (std::size_t k = 0; k < neighbors_.size(); ++k) {
+    const AgentId n = neighbors_[k];
+    const std::int64_t improve = slots_[k].improve;
+    if (improve > 0) any_positive_neighbor = true;
+    if (best_neighbor == kNoAgent || improve > best_neighbor_improve ||
+        (improve == best_neighbor_improve && n < best_neighbor)) {
       best_neighbor = n;
-      best_neighbor_improve = im.improve;
+      best_neighbor_improve = improve;
     }
   }
 
@@ -379,11 +395,7 @@ void DbAgent::amnesia_restart(sim::MessageSink& out) {
   round_ = std::max<std::uint64_t>(1, wal_.seq_limit());
   clear_view();  // also folds the restored weights back into the cost sums
   awaiting_improves_ = false;
-  for (AgentId n : neighbors_) {
-    ok_seen_[n] = 0;
-    improve_seen_[n] = 0;
-    improve_of_[n] = NeighborImprove{};
-  }
+  slots_.assign(neighbors_.size(), NeighborState{});
   wal_.note_replay();
   broadcast_ok(out);
   // Jump straight into wave B of the resumed round. Our round is inflated
@@ -428,11 +440,7 @@ void DbAgent::import_capsule(const recovery::Checkpoint& state,
   clear_view();  // folds the restored weights into the cost sums
   awaiting_improves_ = false;
   last_improve_round_ = 0;
-  for (AgentId n : neighbors_) {
-    ok_seen_[n] = 0;
-    improve_seen_[n] = 0;
-    improve_of_[n] = NeighborImprove{};
-  }
+  slots_.assign(neighbors_.size(), NeighborState{});
   // Same liveness trick as amnesia recovery: our round was fenced past the
   // neighbors', so announce and send one inflated-round improve to keep the
   // neighborhood's wave B from starving while it catches up.

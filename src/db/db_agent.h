@@ -10,11 +10,14 @@
 // paper attributes to DB.
 //
 // Hardening (docs/FAULT_MODEL.md): wave completion is tracked per neighbor
-// by message *round* (the seq field), not by raw arrival counts, so a
-// duplicated or reordered message can never desynchronize the waves; under
-// reliable FIFO delivery the accounting is equivalent to counting. Dropped
-// messages are repaired by the engine's heartbeat (the agent re-sends its
-// current wave's announcements idempotently).
+// slot (one dense entry per element of the neighbor list, found from the
+// sender id through a flat AgentId -> slot table) by message *round* (the
+// seq field), not by raw arrival counts, so a duplicated or reordered
+// message can never desynchronize the waves; under reliable FIFO delivery
+// the accounting is equivalent to counting. Messages from a sender that is
+// not a neighbor (negative, past the table, or simply not listed) are
+// ignored. Dropped messages are repaired by the engine's heartbeat (the
+// agent re-sends its current wave's announcements idempotently).
 //
 // Incremental cost engine: DB carries no NogoodStore, so the agent keeps its
 // own flat view (vector indexed by VarId) plus per-nogood match counters and
@@ -26,7 +29,6 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "common/rng.h"
@@ -49,6 +51,8 @@ struct DbAgentConfig {
 
 class DbAgent final : public sim::Agent {
  public:
+  /// Throws std::invalid_argument, naming the id, for a negative, self or
+  /// duplicate entry in `neighbors`: its wave slot could never fill.
   DbAgent(AgentId id, VarId var, int domain_size, Value initial_value,
           std::vector<AgentId> neighbors, std::vector<Nogood> nogoods, Rng rng,
           DbAgentConfig config = {});
@@ -88,11 +92,15 @@ class DbAgent final : public sim::Agent {
   const recovery::WriteAheadLog& wal() const { return wal_; }
 
  private:
-  /// Latest wave-B data received from one neighbor.
-  struct NeighborImprove {
+  /// Wave state of one neighbor: the newest ok? and improve rounds seen
+  /// from it, and the wave-B data of that newest improve.
+  struct NeighborState {
+    std::uint64_t ok_round = 0;
+    std::uint64_t improve_round = 0;
     std::int64_t improve = 0;
     std::int64_t eval = 0;
   };
+  static constexpr std::uint32_t kNoSlot = UINT32_MAX;
   /// One occurrence of a variable in a nogood's non-own literals.
   struct Occ {
     std::uint32_t ng = 0;
@@ -114,6 +122,13 @@ class DbAgent final : public sim::Agent {
   Value view_value(VarId v) const {
     const auto vi = static_cast<std::size_t>(v);
     return vi < view_.size() ? view_[vi] : kNoValue;
+  }
+  /// The wave state of `sender`, or nullptr if it is not a neighbor. A
+  /// negative id converts to a huge index, past the table like any stranger.
+  NeighborState* slot_for(AgentId sender) {
+    const auto a = static_cast<std::size_t>(sender);
+    if (a >= slot_of_.size() || slot_of_[a] == kNoSlot) return nullptr;
+    return &slots_[slot_of_[a]];
   }
   bool wave_a_complete() const;
   bool wave_b_complete() const;
@@ -147,9 +162,8 @@ class DbAgent final : public sim::Agent {
   // ok? of round >= r arrived, wave B when every neighbor's improve of round
   // >= r arrived. Survives crash-restarts (stable storage, like weights_).
   std::uint64_t round_ = 1;
-  std::unordered_map<AgentId, std::uint64_t> ok_seen_;       // newest ok? round
-  std::unordered_map<AgentId, std::uint64_t> improve_seen_;  // newest improve round
-  std::unordered_map<AgentId, NeighborImprove> improve_of_;  // newest improve data
+  std::vector<NeighborState> slots_;   // parallel to neighbors_
+  std::vector<std::uint32_t> slot_of_; // AgentId -> index into slots_ (kNoSlot = none)
   bool awaiting_improves_ = false;
   std::int64_t my_eval_ = 0;
   std::int64_t my_improve_ = 0;

@@ -820,18 +820,7 @@ class Worker {
       m.quarantines = guard_->quarantines();
       m.quarantine_drops = guard_->quarantine_drops();
     }
-    for (const auto& [id, agent] : local_) {
-      m.nogoods_generated += agent->nogoods_generated();
-      m.redundant_generations += agent->redundant_generations();
-      m.work_ops += agent->work_ops();
-      const sim::Agent::RecoveryStats rs = agent->recovery_stats();
-      m.journal_appends += rs.journal_appends;
-      m.journal_checkpoints += rs.journal_checkpoints;
-      m.journal_replays += rs.journal_replays;
-      m.store_evictions += rs.store_evictions;
-      m.peak_learned_nogoods =
-          std::max(m.peak_learned_nogoods, rs.peak_learned_nogoods);
-    }
+    for (const auto& [id, agent] : local_) sim::add_agent_counters(*agent, m);
     return m;
   }
 

@@ -12,10 +12,12 @@
 // keep receive() free of decisions; all reasoning lives in compute().
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 
 #include "recovery/journal.h"
 #include "sim/message.h"
+#include "sim/metrics.h"
 
 namespace discsp::sim {
 
@@ -116,5 +118,20 @@ class Agent {
   };
   virtual RecoveryStats recovery_stats() const { return {}; }
 };
+
+/// Add one agent's lifetime counters (generations, work ops, recovery stats)
+/// to `m`. Runtimes fold every agent through this on every exit path, the
+/// already-solved return included.
+inline void add_agent_counters(const Agent& agent, RunMetrics& m) {
+  m.nogoods_generated += agent.nogoods_generated();
+  m.redundant_generations += agent.redundant_generations();
+  m.work_ops += agent.work_ops();
+  const Agent::RecoveryStats rs = agent.recovery_stats();
+  m.journal_appends += rs.journal_appends;
+  m.journal_checkpoints += rs.journal_checkpoints;
+  m.journal_replays += rs.journal_replays;
+  m.store_evictions += rs.store_evictions;
+  m.peak_learned_nogoods = std::max(m.peak_learned_nogoods, rs.peak_learned_nogoods);
+}
 
 }  // namespace discsp::sim

@@ -195,6 +195,7 @@ RunResult AsyncEngine::run() {
   if (problem_.is_solution(snapshot())) {
     result.metrics.solved = true;
     result.assignment = snapshot();
+    for (const auto& agent : agents_) add_agent_counters(*agent, result.metrics);
     return result;
   }
 
@@ -354,18 +355,7 @@ RunResult AsyncEngine::run() {
   result.metrics.cycles = static_cast<int>(activations);
   result.metrics.maxcck = result.metrics.total_checks;
   result.assignment = snapshot();
-  for (const auto& agent : agents_) {
-    result.metrics.nogoods_generated += agent->nogoods_generated();
-    result.metrics.redundant_generations += agent->redundant_generations();
-    result.metrics.work_ops += agent->work_ops();
-    const Agent::RecoveryStats rs = agent->recovery_stats();
-    result.metrics.journal_appends += rs.journal_appends;
-    result.metrics.journal_checkpoints += rs.journal_checkpoints;
-    result.metrics.journal_replays += rs.journal_replays;
-    result.metrics.store_evictions += rs.store_evictions;
-    result.metrics.peak_learned_nogoods =
-        std::max(result.metrics.peak_learned_nogoods, rs.peak_learned_nogoods);
-  }
+  for (const auto& agent : agents_) add_agent_counters(*agent, result.metrics);
   if (plan_ != nullptr) result.metrics.faults = plan_->summary();
   if (retransmit_ != nullptr) {
     result.metrics.retransmissions = retransmit_->retransmissions();

@@ -75,6 +75,7 @@ RunResult SyncEngine::run(int max_cycles) {
   if (problem_.is_solution(snapshot())) {
     result.metrics.solved = true;
     result.assignment = snapshot();
+    for (const auto& agent : agents_) add_agent_counters(*agent, result.metrics);
     return result;
   }
 
@@ -137,18 +138,7 @@ RunResult SyncEngine::run(int max_cycles) {
   result.metrics.hit_cycle_cap =
       !result.metrics.solved && !result.metrics.insoluble && !quiescent_;
   result.assignment = snapshot();
-  for (const auto& agent : agents_) {
-    result.metrics.nogoods_generated += agent->nogoods_generated();
-    result.metrics.redundant_generations += agent->redundant_generations();
-    result.metrics.work_ops += agent->work_ops();
-    const Agent::RecoveryStats rs = agent->recovery_stats();
-    result.metrics.journal_appends += rs.journal_appends;
-    result.metrics.journal_checkpoints += rs.journal_checkpoints;
-    result.metrics.journal_replays += rs.journal_replays;
-    result.metrics.store_evictions += rs.store_evictions;
-    result.metrics.peak_learned_nogoods =
-        std::max(result.metrics.peak_learned_nogoods, rs.peak_learned_nogoods);
-  }
+  for (const auto& agent : agents_) add_agent_counters(*agent, result.metrics);
   return result;
 }
 

@@ -570,16 +570,7 @@ RunResult ThreadRuntime::run() {
   for (std::size_t i = 0; i < impl.agents.size(); ++i) {
     a[static_cast<std::size_t>(impl.agents[i]->variable())] = impl.agents[i]->current_value();
     result.metrics.total_checks += impl.agents[i]->take_checks();
-    result.metrics.nogoods_generated += impl.agents[i]->nogoods_generated();
-    result.metrics.redundant_generations += impl.agents[i]->redundant_generations();
-    result.metrics.work_ops += impl.agents[i]->work_ops();
-    const Agent::RecoveryStats rs = impl.agents[i]->recovery_stats();
-    result.metrics.journal_appends += rs.journal_appends;
-    result.metrics.journal_checkpoints += rs.journal_checkpoints;
-    result.metrics.journal_replays += rs.journal_replays;
-    result.metrics.store_evictions += rs.store_evictions;
-    result.metrics.peak_learned_nogoods =
-        std::max(result.metrics.peak_learned_nogoods, rs.peak_learned_nogoods);
+    add_agent_counters(*impl.agents[i], result.metrics);
   }
   if (!witness.empty()) a = std::move(witness);
   result.metrics.maxcck = result.metrics.total_checks;

@@ -87,6 +87,14 @@ TEST(Awc, AlreadySolvedInitialAssignmentCostsZeroCycles) {
   EXPECT_TRUE(result.metrics.solved);
   EXPECT_EQ(result.metrics.cycles, 0);
   EXPECT_EQ(result.assignment, initial);
+  // The early return still folds the agents' counters (their stores were
+  // built before the solution check).
+  std::uint64_t built_ops = 0;
+  for (const auto& agent : solver.make_agents(initial, Rng(7))) {
+    built_ops += agent->work_ops();
+  }
+  EXPECT_GT(built_ops, 0u);
+  EXPECT_EQ(result.metrics.work_ops, built_ops);
 }
 
 TEST(Awc, DeterministicUnderFixedSeed) {

@@ -49,6 +49,14 @@ TEST(Db, AlreadySolvedCostsZeroCycles) {
   const auto result = solver.solve(initial, Rng(5));
   EXPECT_TRUE(result.metrics.solved);
   EXPECT_EQ(result.metrics.cycles, 0);
+  // The early return still folds the agents' counters: building the cost
+  // engines is real work.
+  std::uint64_t built_ops = 0;
+  for (const auto& agent : solver.make_agents(initial, Rng(5))) {
+    built_ops += agent->work_ops();
+  }
+  EXPECT_GT(built_ops, 0u);
+  EXPECT_EQ(result.metrics.work_ops, built_ops);
 }
 
 TEST(Db, EachWaveIsOneCycle) {

@@ -1,6 +1,10 @@
 // DB protocol mechanics at the message level: wave transitions, improve
-// arithmetic, winner tie-breaking, and quasi-local-minimum weight growth.
+// arithmetic, winner tie-breaking, quasi-local-minimum weight growth, and the
+// per-neighbor guards (sender validation, round guards, neighbor list).
 #include <gtest/gtest.h>
+
+#include <stdexcept>
+#include <string>
 
 #include "db/db_agent.h"
 
@@ -25,15 +29,15 @@ class RecordingSink final : public sim::MessageSink {
   void clear() { sent.clear(); }
 };
 
-/// Agent 1 owns x1 over {0,1}, facing neighbors a0 (x0) and a2 (x2), with
-/// not-equal nogoods toward both.
-DbAgent make_agent(Value initial) {
+/// Agent 1 owns x1 over {0,1}, facing neighbors a0 (x0) and a`far` (x`far`),
+/// with not-equal nogoods toward both.
+DbAgent make_agent(Value initial, AgentId far = 2) {
   std::vector<Nogood> nogoods;
   for (Value v = 0; v < 2; ++v) {
     nogoods.push_back(Nogood{{0, v}, {1, v}});
-    nogoods.push_back(Nogood{{1, v}, {2, v}});
+    nogoods.push_back(Nogood{{1, v}, {far, v}});
   }
-  return DbAgent(1, 1, 2, initial, {0, 2}, std::move(nogoods), Rng(3));
+  return DbAgent(1, 1, 2, initial, {0, far}, std::move(nogoods), Rng(3));
 }
 
 // DB messages carry the sender's wave round in `seq` (see db_agent.h); the
@@ -181,6 +185,120 @@ TEST(DbProtocol, IsolatedAgentSettlesOnUnaryOptimum) {
   agent.start(sink);
   EXPECT_TRUE(sink.sent.empty());
   EXPECT_NE(agent.current_value(), 0);
+}
+
+/// Builds agent 1 with `neighbors` and expects the constructor to reject the
+/// list with an error that contains `needle`.
+void expect_rejected(std::vector<AgentId> neighbors, const std::string& needle) {
+  try {
+    DbAgent agent(1, 1, 2, 0, std::move(neighbors), {}, Rng(3));
+    ADD_FAILURE() << "neighbor list accepted; expected an error naming " << needle;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos) << e.what();
+  }
+}
+
+TEST(DbProtocol, RejectsNegativeNeighborId) {
+  expect_rejected({0, -3}, "negative neighbor id -3");
+}
+
+TEST(DbProtocol, RejectsSelfAsNeighbor) {
+  expect_rejected({0, 1, 2}, "lists itself (1)");
+}
+
+TEST(DbProtocol, RejectsDuplicateNeighbor) {
+  expect_rejected({0, 2, 2}, "duplicate neighbor id 2");
+}
+
+// Senders that must never count as neighbors of make_agent(0, 4): a2 sits
+// inside the sender -> slot table but is not a neighbor, -1 is negative and
+// 1000 lies past the table.
+constexpr AgentId kStrangers[] = {2, -1, 1000};
+
+TEST(DbProtocol, OkFromNonNeighborIsIgnored) {
+  DbAgent agent = make_agent(0, 4);
+  RecordingSink sink;
+  agent.start(sink);
+  sink.clear();
+
+  agent.receive(sim::MessagePayload{ok(0, 0, 0)});
+  for (AgentId s : kStrangers) {
+    // Claims x0 = 1 (which would clear our clash) and a far-ahead round
+    // (which would make a neighbor's ok? fast-forward ours).
+    agent.receive(sim::MessagePayload{ok(s, 0, 1, 50)});
+    agent.receive(sim::MessagePayload{ok(s, 4, 1)});
+  }
+  agent.compute(sink);
+  EXPECT_TRUE(sink.sent.empty()) << "a4's ok? is still missing";
+  EXPECT_EQ(agent.round(), 1u);
+
+  agent.receive(sim::MessagePayload{ok(4, 4, 1)});
+  agent.compute(sink);
+  const auto improves = sink.of_type<sim::ImproveMessage>();
+  ASSERT_EQ(improves.size(), 2u);
+  EXPECT_EQ(improves[0].eval, 1) << "x0 = 0 from a0 still clashes with our 0";
+  EXPECT_EQ(improves[0].seq, 1u);
+}
+
+TEST(DbProtocol, ImproveFromNonNeighborIsIgnored) {
+  DbAgent agent = make_agent(0, 4);
+  RecordingSink sink;
+  agent.start(sink);
+  // Both neighbors at 0: our eval(0) = 2, eval(1) = 0 -> improve 2.
+  agent.receive(sim::MessagePayload{ok(0, 0, 0)});
+  agent.receive(sim::MessagePayload{ok(4, 4, 0)});
+  agent.compute(sink);
+  sink.clear();
+
+  agent.receive(sim::MessagePayload{improve(0, 1, 1)});
+  for (AgentId s : kStrangers) {
+    agent.receive(sim::MessagePayload{improve(s, 9, 9)});  // would beat our 2
+    agent.receive(sim::MessagePayload{improve(s, 9, 9, 50)});
+  }
+  agent.compute(sink);
+  EXPECT_TRUE(sink.sent.empty()) << "a4's improve is still missing";
+  EXPECT_EQ(agent.round(), 1u);
+
+  agent.receive(sim::MessagePayload{improve(4, 1, 1)});
+  agent.compute(sink);
+  EXPECT_EQ(agent.round(), 2u);
+  EXPECT_EQ(agent.current_value(), 1) << "our improve 2 beats both real claims";
+}
+
+TEST(DbProtocol, StaleOkDoesNotChangeTheView) {
+  DbAgent agent = make_agent(0);
+  RecordingSink sink;
+  agent.start(sink);
+  sink.clear();
+
+  agent.receive(sim::MessagePayload{ok(0, 0, 0, 2)});
+  agent.receive(sim::MessagePayload{ok(0, 0, 1, 1)});  // older round: dropped
+  agent.receive(sim::MessagePayload{ok(2, 2, 1)});
+  agent.compute(sink);
+  const auto improves = sink.of_type<sim::ImproveMessage>();
+  ASSERT_EQ(improves.size(), 2u);
+  EXPECT_EQ(improves[0].eval, 1) << "x0 = 0 (round 2) must survive the round-1 copy";
+}
+
+TEST(DbProtocol, DuplicatedImproveDoesNotCompleteWaveB) {
+  DbAgent agent = make_agent(0);
+  RecordingSink sink;
+  agent.start(sink);
+  agent.receive(sim::MessagePayload{ok(0, 0, 0)});
+  agent.receive(sim::MessagePayload{ok(2, 2, 0)});
+  agent.compute(sink);
+  sink.clear();
+
+  agent.receive(sim::MessagePayload{improve(0, 1, 1)});
+  agent.receive(sim::MessagePayload{improve(0, 1, 1)});
+  agent.compute(sink);
+  EXPECT_TRUE(sink.sent.empty()) << "two copies from a0 are not a2's improve";
+  EXPECT_EQ(agent.round(), 1u);
+
+  agent.receive(sim::MessagePayload{improve(2, 1, 1)});
+  agent.compute(sink);
+  EXPECT_EQ(agent.round(), 2u);
+  EXPECT_EQ(sink.of_type<sim::OkMessage>().size(), 2u);
 }
 
 }  // namespace

@@ -48,13 +48,15 @@ cmake -B "${prefix}-asan" -S . \
       -DDISCSP_BUILD_EXAMPLES=OFF >/dev/null
 cmake --build "${prefix}-asan" -j "${jobs}" --target discsp_tests
 
-echo "--- ASan+UBSan: wire decode fuzz + corruption/partition chaos + store churn ---"
+echo "--- ASan+UBSan: wire decode fuzz + corruption/partition chaos + store churn + DB sender slots ---"
 # The decoder fuzz tests feed adversarial frames straight into the parser;
 # IncrementalView* churns the nogood store (add/remove/evict/compact against
-# a brute-force oracle). ASan/UBSan turn any out-of-bounds read or signed
-# overflow into a failure.
+# a brute-force oracle). DbProtocol* and the DB duplication/reordering chaos
+# test drive DbAgent's sender -> slot table, which is indexed by a sender id
+# taken off the wire (negative, past-the-table and non-neighbor senders).
+# ASan/UBSan turn any out-of-bounds read or signed overflow into a failure.
 if ! "${prefix}-asan/tests/discsp_tests" \
-    --gtest_filter='WireFormat*:ChannelGuardPolicy*:DcspDigest*:ReproBundle*:MonitorOracle*:PartitionSchedule*:PartitionChaos*:CorruptionChaos*:IncrementalView*'; then
+    --gtest_filter='WireFormat*:ChannelGuardPolicy*:DcspDigest*:ReproBundle*:MonitorOracle*:PartitionSchedule*:PartitionChaos*:CorruptionChaos*:IncrementalView*:DbProtocol*:FaultChaos.DbSolvesUnderDuplicationAndReordering'; then
   echo "ASan leg failed." >&2
   exit 1
 fi
