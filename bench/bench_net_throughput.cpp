@@ -1,7 +1,7 @@
-// Carrier throughput probe of the batched transport path (net/transport.h
-// BatchConfig): how fast can sealed NetRoute frames move between two
-// threads, in-proc and over loopback TCP, batched vs the seed-equivalent
-// unbatched carrier?
+// Carrier throughput probe: how fast can sealed NetRoute frames move
+// between two threads over the in-proc ring pipe, and over loopback TCP
+// batched (net/transport.h BatchConfig) vs the seed-equivalent unbatched
+// carrier?
 //
 // Each scenario runs one sender and one receiver over a single connection
 // pair. The frame mix is shaped like an n=64-agent chaos run: mostly routed
@@ -14,8 +14,9 @@
 //   --tcp-frames N   frames per TCP scenario (default 120000)
 //   --json FILE      output path ("" = skip)
 //
-// The interesting numbers are ns/frame and the batched-over-unbatched
-// speedup per transport; frames/sec is the same datum in marketing units.
+// The interesting numbers are ns/frame per carrier and the TCP
+// batched-over-unbatched speedup; frames/sec is the same datum in marketing
+// units. In-proc has a single carrier, so it has no speedup to report.
 #include <chrono>
 #include <cstdint>
 #include <fstream>
@@ -111,10 +112,9 @@ ScenarioResult drive(net::Connection& tx, net::Connection& rx,
   return result;
 }
 
-ScenarioResult run_inproc(const BatchConfig& batch,
-                          const std::vector<WireFrame>& templates,
+ScenarioResult run_inproc(const std::vector<WireFrame>& templates,
                           std::size_t total) {
-  net::InProcTransport transport(batch);
+  net::InProcTransport transport;
   auto listener = transport.listen("bench");
   auto client = transport.connect("bench", 1000);
   auto server = listener->accept();
@@ -167,26 +167,22 @@ int main(int argc, char** argv) {
 
   const auto templates = make_templates();
   const BatchConfig unbatched = BatchConfig::unbatched();
-  const BatchConfig batched;  // the default carrier: 16 frames / 64 KiB / 200 us
+  const BatchConfig batched;  // TCP defaults: 64 frames / 64 KiB / 200 us
 
   // Warm-up pass absorbs first-touch costs (pool population, socket setup)
   // so the measured runs compare carriers, not allocators.
-  run_inproc(batched, templates, frames / 10 + 1);
+  run_inproc(templates, frames / 10 + 1);
   run_tcp(batched, templates, tcp_frames / 10 + 1);
 
-  const ScenarioResult inproc_un = run_inproc(unbatched, templates, frames);
-  const ScenarioResult inproc_ba = run_inproc(batched, templates, frames);
+  const ScenarioResult inproc = run_inproc(templates, frames);
   const ScenarioResult tcp_un = run_tcp(unbatched, templates, tcp_frames);
   const ScenarioResult tcp_ba = run_tcp(batched, templates, tcp_frames);
 
-  report("inproc unbatched", inproc_un);
-  report("inproc batched  ", inproc_ba);
+  report("inproc ring     ", inproc);
   report("tcp    unbatched", tcp_un);
   report("tcp    batched  ", tcp_ba);
-  const double inproc_speedup = inproc_un.ns_per_frame / inproc_ba.ns_per_frame;
   const double tcp_speedup = tcp_un.ns_per_frame / tcp_ba.ns_per_frame;
-  std::cout << "inproc speedup: " << inproc_speedup
-            << "x, tcp speedup: " << tcp_speedup << "x\n";
+  std::cout << "tcp speedup: " << tcp_speedup << "x\n";
 
   if (!json.empty()) {
     std::ofstream out(json);
@@ -198,13 +194,10 @@ int main(int argc, char** argv) {
         << "  \"probe\": \"net_carrier_throughput\",\n"
         << "  \"frames\": " << frames << ",\n"
         << "  \"tcp_frames\": " << tcp_frames << ",\n"
-        << "  \"inproc_unbatched_ns_per_frame\": " << inproc_un.ns_per_frame
+        << "  \"inproc_batched_ns_per_frame\": " << inproc.ns_per_frame
         << ",\n"
-        << "  \"inproc_batched_ns_per_frame\": " << inproc_ba.ns_per_frame
+        << "  \"inproc_batched_frames_per_sec\": " << inproc.frames_per_sec
         << ",\n"
-        << "  \"inproc_batched_frames_per_sec\": " << inproc_ba.frames_per_sec
-        << ",\n"
-        << "  \"inproc_speedup\": " << inproc_speedup << ",\n"
         << "  \"tcp_unbatched_ns_per_frame\": " << tcp_un.ns_per_frame << ",\n"
         << "  \"tcp_batched_ns_per_frame\": " << tcp_ba.ns_per_frame << ",\n"
         << "  \"tcp_batched_frames_per_sec\": " << tcp_ba.frames_per_sec

@@ -530,9 +530,6 @@ int report_serve(const net::ServeResult& res, const DistributedProblem& dp,
 
 net::BatchConfig batch_config_from(const NetConfig& cfg) {
   net::BatchConfig batch;
-  batch.max_frames = static_cast<int>(cfg.batch_max_frames);
-  batch.max_bytes = static_cast<std::size_t>(cfg.batch_max_bytes);
-  batch.flush_us = cfg.batch_flush_us;
   batch.close_flush_ms = cfg.batch_close_flush_ms;
   return batch;
 }
@@ -546,8 +543,7 @@ int cmd_serve(const Options& opts) {
                  "[--coordinator-journal F] [--resume] [--halt-after-ms N] "
                  "[--detector fixed|phi] [--phi-suspect X] [--phi-dead X] "
                  "[--phi-window N] [--phi-min-samples N] [--phi-min-std-ms X] "
-                 "[--ping-burst N] [--batch-max-frames N] [--batch-max-bytes N] "
-                 "[--batch-flush-us N] [--batch-close-flush-ms N] "
+                 "[--ping-burst N] [--batch-close-flush-ms N] "
                  "[--migrate-after-dead] [--migration-max-batch N] "
                  "[+ the --fault-* / --partition-* / --quarantine-* knobs of solve]\n";
     return 2;
@@ -560,7 +556,7 @@ int cmd_serve(const Options& opts) {
   if (net_cfg.listen.empty()) {
     // In-process distributed mode: the same protocol, frames and supervisor,
     // with worker threads instead of worker processes.
-    net::InProcTransport transport(batch_config_from(net_cfg));
+    net::InProcTransport transport;
     auto listener = transport.listen("coordinator");
     std::vector<net::WorkerResult> results(
         static_cast<std::size_t>(net_cfg.workers));
@@ -604,9 +600,7 @@ int cmd_worker(const Options& opts) {
   if (net_cfg.connect.empty() && net_cfg.port_file.empty()) {
     std::cerr << "usage: discsp_cli worker --connect host:port [--shard K] "
                  "[--exit-after-ms N] [--port-file F [--host H]] "
-                 "[--max-connect-attempts N] [--batch-max-frames N] "
-                 "[--batch-max-bytes N] [--batch-flush-us N] "
-                 "[--batch-close-flush-ms N]\n";
+                 "[--max-connect-attempts N] [--batch-close-flush-ms N]\n";
     return 2;
   }
   net::TcpTransport transport(batch_config_from(net_cfg));

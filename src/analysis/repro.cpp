@@ -93,12 +93,8 @@ sim::RunResult run_bundle(const ReproBundle& bundle) {
 }
 
 ObservedOutcome observe(const sim::RunResult& result) {
-  ObservedOutcome out;
-  out.solved = result.metrics.solved;
-  out.cycles = result.metrics.cycles;
-  out.violations = result.metrics.monitor.violations;
-  out.malformed_frames = result.metrics.malformed_frames;
-  return out;
+  const sim::RunMetrics& m = result.metrics;
+  return {m.solved, m.cycles, m.monitor.violations, m.malformed_frames};
 }
 
 bool matches_observed(const ReproBundle& bundle, const sim::RunResult& result) {

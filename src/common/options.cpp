@@ -217,9 +217,6 @@ NetConfig net_config_from(const Options& opts) {
   cfg.phi_min_samples = opts.get_int("phi-min-samples", cfg.phi_min_samples);
   cfg.phi_min_std_ms = opts.get_double("phi-min-std-ms", cfg.phi_min_std_ms);
   cfg.ping_burst = opts.get_int("ping-burst", cfg.ping_burst);
-  cfg.batch_max_frames = opts.get_int("batch-max-frames", cfg.batch_max_frames);
-  cfg.batch_max_bytes = opts.get_int("batch-max-bytes", cfg.batch_max_bytes);
-  cfg.batch_flush_us = opts.get_int("batch-flush-us", cfg.batch_flush_us);
   cfg.batch_close_flush_ms =
       opts.get_int("batch-close-flush-ms", cfg.batch_close_flush_ms);
   cfg.migrate_after_dead =
@@ -278,15 +275,6 @@ NetConfig net_config_from(const Options& opts) {
   }
   if (cfg.ping_burst < 0) {
     throw std::invalid_argument("--ping-burst must be >= 0");
-  }
-  if (cfg.batch_max_frames < 1 || cfg.batch_max_frames > 4096) {
-    throw std::invalid_argument("--batch-max-frames must lie in [1, 4096]");
-  }
-  if (cfg.batch_max_bytes < 1) {
-    throw std::invalid_argument("--batch-max-bytes must be >= 1");
-  }
-  if (cfg.batch_flush_us < 0) {
-    throw std::invalid_argument("--batch-flush-us must be >= 0");
   }
   if (cfg.batch_close_flush_ms < 0) {
     throw std::invalid_argument("--batch-close-flush-ms must be >= 0");

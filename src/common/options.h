@@ -162,14 +162,9 @@ struct NetConfig {
   double phi_min_std_ms = 10.0;       ///< sigma floor in ms
   std::int64_t ping_burst = 0;        ///< pings per interval window; 0 = unbounded
 
-  // Transport batching (net/transport.h BatchConfig). Carrier-level only:
-  // the logical frame stream is identical whatever the values; max_frames 1
-  // selects the seed-equivalent unbatched path.
-  std::int64_t batch_max_frames = 64;   ///< frames coalesced per flush
-  std::int64_t batch_max_bytes = 65536; ///< byte budget per coalesced flush
-  std::int64_t batch_flush_us = 200;    ///< deadline for a deferred flush
-  /// Final-flush budget when closing a connection, in ms (0 = close
-  /// immediately, shedding whatever is still queued).
+  /// TCP final-flush budget when closing a connection, in ms (0 = close
+  /// immediately, shedding whatever is still queued; net/transport.h
+  /// BatchConfig::close_flush_ms).
   std::int64_t batch_close_flush_ms = 50;
 
   // Live shard migration (docs/NETWORK.md §shard migration).
@@ -185,10 +180,8 @@ struct NetConfig {
 /// --dead-after-ms, --emit-dir, the failover knobs --coordinator-journal,
 /// --resume, --halt-after-ms, --max-connect-attempts, --host, and the
 /// failure-detection knobs --detector fixed|phi, --phi-suspect, --phi-dead,
-/// --phi-window, --phi-min-samples, --phi-min-std-ms, --ping-burst, and the
-/// transport batching knobs --batch-max-frames (in [1, 4096]; 1 = unbatched),
-/// --batch-max-bytes (>= 1), --batch-flush-us (>= 0),
-/// --batch-close-flush-ms (>= 0), and the shard-migration knobs
+/// --phi-window, --phi-min-samples, --phi-min-std-ms, --ping-burst, the TCP
+/// close budget --batch-close-flush-ms (>= 0), and the shard-migration knobs
 /// --migrate-after-dead, --migration-max-batch (>= 1).
 /// Endpoints must look like "host:port" with a numeric port in [0, 65535];
 /// --workers must lie in [1, 4096]; every duration must be non-negative;

@@ -24,42 +24,6 @@ AgentId payload_sender(const sim::MessagePayload& payload) {
   return std::visit([](const auto& m) { return m.sender; }, payload);
 }
 
-/// Sum `add` into `into` (peak counters take the max). decode_metrics_words
-/// assigns, so incarnation snapshots are decoded into a fresh RunMetrics and
-/// merged here.
-void merge_metrics(sim::RunMetrics& into, const sim::RunMetrics& add) {
-  into.total_checks += add.total_checks;
-  into.work_ops += add.work_ops;
-  into.messages += add.messages;
-  into.nogoods_generated += add.nogoods_generated;
-  into.redundant_generations += add.redundant_generations;
-  into.refresh_messages += add.refresh_messages;
-  into.heartbeats += add.heartbeats;
-  into.journal_appends += add.journal_appends;
-  into.journal_checkpoints += add.journal_checkpoints;
-  into.journal_replays += add.journal_replays;
-  into.store_evictions += add.store_evictions;
-  into.peak_learned_nogoods =
-      std::max(into.peak_learned_nogoods, add.peak_learned_nogoods);
-  into.retransmissions += add.retransmissions;
-  into.detector_false_positives += add.detector_false_positives;
-  into.malformed_frames += add.malformed_frames;
-  into.quarantines += add.quarantines;
-  into.quarantine_drops += add.quarantine_drops;
-  into.faults.dropped += add.faults.dropped;
-  into.faults.duplicated += add.faults.duplicated;
-  into.faults.reordered += add.faults.reordered;
-  into.faults.delay_spikes += add.faults.delay_spikes;
-  into.faults.crashes += add.faults.crashes;
-  into.faults.amnesia += add.faults.amnesia;
-  into.faults.partition_drops += add.faults.partition_drops;
-  into.faults.corrupted += add.faults.corrupted;
-  into.backpressure_drops += add.backpressure_drops;
-  into.agent_migrations += add.agent_migrations;
-  into.migration_fenced += add.migration_fenced;
-  into.quarantine_readmissions += add.quarantine_readmissions;
-}
-
 sim::MonitorConfig monitor_config_for(const analysis::ReproBundle& bundle) {
   sim::MonitorConfig config;
   config.enabled = bundle.monitor;
@@ -859,7 +823,7 @@ class Coordinator {
     if (!slot.latest_words.empty()) {
       sim::RunMetrics incarnation;
       decode_metrics_words(slot.latest_words, incarnation);
-      merge_metrics(slot.prior, incarnation);
+      sim::merge_metrics(slot.prior, incarnation);
       slot.latest_words.clear();
     }
     slot.prior_processed += slot.processed;
@@ -876,7 +840,7 @@ class Coordinator {
     for (Slot& slot : slots_) {
       if (slot.conn != nullptr) coord_drops_ += slot.conn->dropped_frames();
       fold_slot(slot);
-      merge_metrics(total, slot.prior);
+      sim::merge_metrics(total, slot.prior);
       processed += slot.prior_processed;
     }
     // Frames the coordinator itself shed under send backpressure.

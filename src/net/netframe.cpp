@@ -1,8 +1,5 @@
 #include "net/netframe.h"
 
-#include <algorithm>
-#include <iterator>
-
 namespace discsp::net {
 
 namespace {
@@ -348,83 +345,23 @@ NetDecodeResult decode_net_frame(const WireFrame& frame) {
   }
 }
 
-/// The counter order is append-only: new counters go at the end so a stats
-// frame from an older worker still decodes on a newer coordinator.
+// Both directions walk sim::for_each_counter, whose order is the wire order.
 std::vector<std::uint64_t> encode_metrics_words(const sim::RunMetrics& m) {
-  return {
-      m.messages,
-      m.total_checks,
-      m.work_ops,
-      m.nogoods_generated,
-      m.redundant_generations,
-      m.refresh_messages,
-      m.heartbeats,
-      m.retransmissions,
-      m.detector_false_positives,
-      m.malformed_frames,
-      m.quarantines,
-      m.quarantine_drops,
-      m.store_evictions,
-      m.peak_learned_nogoods,
-      m.journal_appends,
-      m.journal_checkpoints,
-      m.journal_replays,
-      m.faults.dropped,
-      m.faults.duplicated,
-      m.faults.reordered,
-      m.faults.delay_spikes,
-      m.faults.crashes,
-      m.faults.amnesia,
-      m.faults.partition_drops,
-      m.faults.corrupted,
-      m.monitor.violations,
-      m.monitor.checks,
-      m.monitor.seq_regressions,
-      m.backpressure_drops,
-      m.agent_migrations,
-      m.migration_fenced,
-      m.quarantine_readmissions,
-  };
+  std::vector<std::uint64_t> words;
+  sim::for_each_counter(
+      [&](sim::Fold, std::uint64_t value) { words.push_back(value); }, m);
+  return words;
 }
 
 void decode_metrics_words(const std::vector<std::uint64_t>& words,
                           sim::RunMetrics& m) {
-  std::uint64_t* const slots[] = {
-      &m.messages,
-      &m.total_checks,
-      &m.work_ops,
-      &m.nogoods_generated,
-      &m.redundant_generations,
-      &m.refresh_messages,
-      &m.heartbeats,
-      &m.retransmissions,
-      &m.detector_false_positives,
-      &m.malformed_frames,
-      &m.quarantines,
-      &m.quarantine_drops,
-      &m.store_evictions,
-      &m.peak_learned_nogoods,
-      &m.journal_appends,
-      &m.journal_checkpoints,
-      &m.journal_replays,
-      &m.faults.dropped,
-      &m.faults.duplicated,
-      &m.faults.reordered,
-      &m.faults.delay_spikes,
-      &m.faults.crashes,
-      &m.faults.amnesia,
-      &m.faults.partition_drops,
-      &m.faults.corrupted,
-      &m.monitor.violations,
-      &m.monitor.checks,
-      &m.monitor.seq_regressions,
-      &m.backpressure_drops,
-      &m.agent_migrations,
-      &m.migration_fenced,
-      &m.quarantine_readmissions,
-  };
-  const std::size_t n = std::min(words.size(), std::size(slots));
-  for (std::size_t i = 0; i < n; ++i) *slots[i] = words[i];
+  std::size_t i = 0;
+  sim::for_each_counter(
+      [&](sim::Fold, std::uint64_t& slot) {
+        if (i < words.size()) slot = words[i];
+        ++i;
+      },
+      m);
 }
 
 }  // namespace discsp::net

@@ -97,7 +97,7 @@ struct NetAck {
 };
 
 /// Worker -> coordinator: periodic progress report. Carries the worker's
-/// lifetime counters (metrics_words, the fixed encode_metrics_words order),
+/// lifetime counters (metrics_words, in sim::for_each_counter order),
 /// its local agents' current values, and the quiescence inputs.
 struct NetStats {
   std::uint64_t shard = 0;
@@ -228,11 +228,12 @@ struct NetDecodeResult {
 /// with the instance's WireLimits.
 NetDecodeResult decode_net_frame(const WireFrame& frame);
 
-/// Fixed encoding order of the RunMetrics counters a worker reports in
-/// NetStats (count-prefixed on the wire so the list can grow).
+/// The RunMetrics counters a worker reports in NetStats, one word each in
+/// sim::for_each_counter order (count-prefixed on the wire so it can grow).
 std::vector<std::uint64_t> encode_metrics_words(const sim::RunMetrics& metrics);
-/// Fold decoded counter words back into `metrics` (absent trailing words are
-/// left untouched, so older workers interoperate with newer coordinators).
+/// Assign counter words back into `metrics` in the same order. Absent
+/// trailing words leave their counters untouched (an older worker) and extra
+/// trailing words are ignored (a newer one).
 void decode_metrics_words(const std::vector<std::uint64_t>& words,
                           sim::RunMetrics& metrics);
 

@@ -17,6 +17,8 @@
 // (net/frame_arena.h) and coalesced with its neighbours per BatchConfig —
 // a flush is one scatter-gather sendmsg over every queued buffer. With
 // max_frames == 1 every send flushes immediately (the seed behaviour).
+// BatchConfig tunes this transport only: the in-proc carrier is always the
+// ring pipe of net/transport.cpp.
 #pragma once
 
 #include "net/transport.h"

@@ -1,3 +1,6 @@
+// In-proc transport (net/transport.h): a registry of named listeners, and
+// one carrier, the ring pipe — per direction an SPSC ring that spills to a
+// mutexed overflow queue, with an eventcount wait for pump().
 #include "net/transport.h"
 
 #include <atomic>
@@ -15,70 +18,8 @@ namespace discsp::net {
 
 namespace {
 
-/// One bidirectional in-proc link: two frame queues under one lock. The
-/// condition variable wakes whichever side is pump()-ing when traffic or a
-/// close arrives. This is the seed-equivalent unbatched path
-/// (BatchConfig::max_frames == 1); the ring pipe below replaces it on the
-/// default lock-free path.
-struct Pipe {
-  std::mutex mutex;
-  std::condition_variable cv;
-  std::deque<WireFrame> to_a;  // frames travelling b -> a
-  std::deque<WireFrame> to_b;  // frames travelling a -> b
-  bool open = true;
-};
-
-class InProcConnection final : public Connection {
- public:
-  InProcConnection(std::shared_ptr<Pipe> pipe, bool side_a)
-      : pipe_(std::move(pipe)), side_a_(side_a) {}
-
-  ~InProcConnection() override { close(); }
-
-  bool send(const WireFrame& frame) override {
-    std::lock_guard<std::mutex> lock(pipe_->mutex);
-    if (!pipe_->open) return false;
-    (side_a_ ? pipe_->to_b : pipe_->to_a).push_back(frame);
-    pipe_->cv.notify_all();
-    return true;
-  }
-
-  bool recv(WireFrame& frame) override {
-    std::lock_guard<std::mutex> lock(pipe_->mutex);
-    auto& inbox = side_a_ ? pipe_->to_a : pipe_->to_b;
-    if (inbox.empty()) return false;
-    frame = std::move(inbox.front());
-    inbox.pop_front();
-    return true;
-  }
-
-  void pump(int timeout_ms) override {
-    if (timeout_ms <= 0) return;  // queues need no driving; only the wait
-    std::unique_lock<std::mutex> lock(pipe_->mutex);
-    auto& inbox = side_a_ ? pipe_->to_a : pipe_->to_b;
-    pipe_->cv.wait_for(lock, std::chrono::milliseconds(timeout_ms),
-                       [&] { return !inbox.empty() || !pipe_->open; });
-  }
-
-  bool open() const override {
-    std::lock_guard<std::mutex> lock(pipe_->mutex);
-    // A closed pipe still drains: the survivor reads what was in flight.
-    return pipe_->open || !(side_a_ ? pipe_->to_a : pipe_->to_b).empty();
-  }
-
-  void close() override {
-    std::lock_guard<std::mutex> lock(pipe_->mutex);
-    pipe_->open = false;
-    pipe_->cv.notify_all();
-  }
-
- private:
-  std::shared_ptr<Pipe> pipe_;
-  bool side_a_;
-};
-
 // ---------------------------------------------------------------------------
-// Lock-free ring pipe (the default batched path).
+// Lock-free ring pipe: the in-proc carrier.
 
 /// Frames buffered per direction before the overflow queue engages. Sized
 /// so healthy solves never leave the lock-free path; a chaos burst that
@@ -278,8 +219,7 @@ class InProcListener final : public Listener {
 
 }  // namespace
 
-InProcTransport::InProcTransport(BatchConfig batch)
-    : state_(std::make_shared<State>()), batch_(batch) {}
+InProcTransport::InProcTransport() : state_(std::make_shared<State>()) {}
 
 std::unique_ptr<Listener> InProcTransport::listen(const std::string& endpoint) {
   auto listener_state = std::make_shared<ListenerState>();
@@ -309,19 +249,10 @@ std::unique_ptr<Connection> InProcTransport::connect(
     if (it == state_->listeners.end()) return nullptr;
     listener = it->second;
   }
-  std::unique_ptr<Connection> server_end;
-  std::unique_ptr<Connection> client_end;
-  if (batch_.batching()) {
-    auto pipe = std::make_shared<RingPipe>();
-    server_end = std::make_unique<RingConnection>(pipe, /*side_a=*/false);
-    client_end = std::make_unique<RingConnection>(std::move(pipe),
-                                                  /*side_a=*/true);
-  } else {
-    auto pipe = std::make_shared<Pipe>();
-    server_end = std::make_unique<InProcConnection>(pipe, /*side_a=*/false);
-    client_end = std::make_unique<InProcConnection>(std::move(pipe),
-                                                    /*side_a=*/true);
-  }
+  auto pipe = std::make_shared<RingPipe>();
+  auto server_end = std::make_unique<RingConnection>(pipe, /*side_a=*/false);
+  auto client_end = std::make_unique<RingConnection>(std::move(pipe),
+                                                     /*side_a=*/true);
   {
     std::lock_guard<std::mutex> lock(listener->mutex);
     if (!listener->open) return nullptr;

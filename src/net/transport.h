@@ -3,13 +3,16 @@
 // The coordinator and its workers exchange sealed WireFrames over
 // Connections. Two implementations share the interface:
 //
-//   InProcTransport — lock-protected queue pairs inside one process. Workers
-//     run as threads; tests drive kill/restart scenarios deterministically
-//     (WorkerConfig::exit_after_ms) without sockets, and `discsp_cli serve`
-//     without --listen uses it to run a whole distributed solve in-process.
+//   InProcTransport — ring pipes inside one process: each direction of a
+//     connection is a lock-free SPSC ring with a mutexed overflow spill.
+//     Workers run as threads; tests drive kill/restart scenarios
+//     deterministically (WorkerConfig::exit_after_ms) without sockets, and
+//     `discsp_cli serve` without --listen uses it to run a whole
+//     distributed solve in-process. It has one carrier and no knobs.
 //
 //   TcpTransport (net/tcp_transport.h) — nonblocking TCP sockets with
 //     length-prefixed framing, for genuinely separate worker processes.
+//     Its coalescing is tuned by BatchConfig.
 //
 // All calls are nonblocking except pump(), which drives I/O and may wait up
 // to its timeout for inbound frames. One Connection may be used by one
@@ -26,13 +29,11 @@ namespace discsp::net {
 
 using sim::WireFrame;
 
-/// Carrier-level batching knobs shared by both transports. Batching is
-/// invisible to the logical frame stream: frame boundaries, ordering,
-/// checksums, fault injection and quarantine all operate per frame exactly
-/// as before — only the cost of moving frames changes (one writev for many
-/// frames on TCP, lock-free rings in-proc). `max_frames == 1` selects the
-/// seed-equivalent unbatched path: flush-per-send on TCP, the legacy
-/// mutex+condvar pipe in-proc (the bench's comparison baseline).
+/// TcpTransport's send coalescing. Batching is invisible to the logical
+/// frame stream: frame boundaries, ordering, checksums, fault injection and
+/// quarantine all operate per frame exactly as before — only the cost of
+/// moving frames changes (one sendmsg for many frames). `unbatched()`
+/// flushes on every send, the comparison baseline of bench_net_throughput.
 struct BatchConfig {
   /// Frames coalesced per flush (>= 1; 1 = unbatched). 64 amortizes one
   /// sendmsg + one receiver wakeup over a full scheduling quantum of
@@ -49,7 +50,6 @@ struct BatchConfig {
   /// alike — slow CI machines raise it instead of racing the flush.
   std::int64_t close_flush_ms = 50;
 
-  bool batching() const { return max_frames > 1; }
   static BatchConfig unbatched() {
     BatchConfig config;
     config.max_frames = 1;
@@ -110,13 +110,12 @@ class Transport {
 };
 
 /// In-process transport: endpoints are arbitrary names, connections are
-/// queue pairs guarded by a mutex + condition variable. Thread-safe; one
-/// instance is shared by the coordinator thread and every worker thread.
-/// connect() waits for a listener of that name to appear (workers may start
-/// before the coordinator binds).
+/// ring pipes. Thread-safe; one instance is shared by the coordinator thread
+/// and every worker thread. connect() waits for a listener of that name to
+/// appear (workers may start before the coordinator binds).
 class InProcTransport final : public Transport {
  public:
-  explicit InProcTransport(BatchConfig batch = {});
+  InProcTransport();
 
   std::unique_ptr<Listener> listen(const std::string& endpoint) override;
   std::unique_ptr<Connection> connect(const std::string& endpoint,
@@ -128,7 +127,6 @@ class InProcTransport final : public Transport {
 
  private:
   std::shared_ptr<State> state_;
-  BatchConfig batch_;
 };
 
 }  // namespace discsp::net

@@ -681,17 +681,10 @@ class Worker {
     }
     const std::int64_t now = elapsed();
 
-    if (!unit.frame.empty()) {
-      if (guard_->is_quarantined(unit.from, unit.to, now)) {
-        guard_->note_quarantine_drop();
-        return;
-      }
-      sim::DecodeResult decoded = sim::decode_frame(unit.frame, *limits_);
-      if (!decoded.ok()) {
-        guard_->record_malformed(unit.from, unit.to, now);
-        return;  // no ack; a tracked frame is repaired by retransmission
-      }
-      unit.payload = std::move(*decoded.payload);
+    if (!unit.frame.empty() && !guard_->admit(unit.from, unit.to, now,
+                                              unit.frame, *limits_,
+                                              unit.payload)) {
+      return;  // no ack; a tracked frame is repaired by retransmission
     }
 
     const sim::CrashKind crash =
@@ -810,16 +803,7 @@ class Worker {
     sim::RunMetrics m = metrics_;
     // Lifetime counter folds drops of *retired* connections; add the live one.
     if (conn_ != nullptr) m.backpressure_drops += conn_->dropped_frames();
-    if (plan_ != nullptr) m.faults = plan_->summary();
-    if (retransmit_ != nullptr) {
-      m.retransmissions = retransmit_->retransmissions();
-      m.detector_false_positives = retransmit_->false_positives();
-    }
-    if (guard_ != nullptr) {
-      m.malformed_frames = guard_->malformed_frames();
-      m.quarantines = guard_->quarantines();
-      m.quarantine_drops = guard_->quarantine_drops();
-    }
+    sim::set_channel_counters(plan_.get(), retransmit_.get(), guard_.get(), m);
     for (const auto& [id, agent] : local_) sim::add_agent_counters(*agent, m);
     return m;
   }

@@ -289,21 +289,14 @@ RunResult AsyncEngine::run() {
       if (!ev.frame.empty()) {
         // The wire format is active: what arrived is the frame, and it must
         // survive checksum + semantic validation before the agent (or even
-        // the dedup/ack machinery) reacts to it.
-        if (guard_->is_quarantined(ev.from, ev.to, now_)) {
-          guard_->note_quarantine_drop();
+        // the dedup/ack machinery) reacts to it. A refused frame is dropped
+        // and counted with no ack, so a tracked frame is retransmitted (from
+        // the clean tracked payload) like any lost message.
+        if (!guard_->admit(ev.from, ev.to, now_, ev.frame, *wire_,
+                           ev.payload)) {
           ++activations;
           continue;
         }
-        DecodeResult decoded = decode_frame(ev.frame, *wire_);
-        if (!decoded.ok()) {
-          // Drop and count; no ack, so a tracked frame is retransmitted
-          // (from the clean tracked payload) like any lost message.
-          guard_->record_malformed(ev.from, ev.to, now_);
-          ++activations;
-          continue;
-        }
-        ev.payload = std::move(*decoded.payload);
       }
       if (ev.track_seq != 0) {
         const bool duplicate =
@@ -356,16 +349,8 @@ RunResult AsyncEngine::run() {
   result.metrics.maxcck = result.metrics.total_checks;
   result.assignment = snapshot();
   for (const auto& agent : agents_) add_agent_counters(*agent, result.metrics);
-  if (plan_ != nullptr) result.metrics.faults = plan_->summary();
-  if (retransmit_ != nullptr) {
-    result.metrics.retransmissions = retransmit_->retransmissions();
-    result.metrics.detector_false_positives = retransmit_->false_positives();
-  }
-  if (guard_ != nullptr) {
-    result.metrics.malformed_frames = guard_->malformed_frames();
-    result.metrics.quarantines = guard_->quarantines();
-    result.metrics.quarantine_drops = guard_->quarantine_drops();
-  }
+  set_channel_counters(plan_.get(), retransmit_.get(), guard_.get(),
+                       result.metrics);
   if (monitor_ != nullptr) {
     // Conservation identity (invariant b): every event ever pushed was
     // either popped or is still queued at run end.

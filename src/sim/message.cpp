@@ -339,4 +339,20 @@ bool ChannelGuard::is_quarantined(AgentId from, AgentId to, std::int64_t now) {
   return false;
 }
 
+bool ChannelGuard::admit(AgentId from, AgentId to, std::int64_t now,
+                         std::span<const std::uint64_t> frame,
+                         const WireLimits& limits, MessagePayload& payload) {
+  if (is_quarantined(from, to, now)) {
+    quarantine_drops_.fetch_add(1, std::memory_order_relaxed);
+    return false;
+  }
+  DecodeResult decoded = decode_frame(frame, limits);
+  if (!decoded.ok()) {
+    record_malformed(from, to, now);
+    return false;
+  }
+  payload = std::move(*decoded.payload);
+  return true;
+}
+
 }  // namespace discsp::sim

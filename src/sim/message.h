@@ -197,10 +197,13 @@ class ChannelGuard {
   /// elapsed readmits the channel and resets its malformed budget.
   bool is_quarantined(AgentId from, AgentId to, std::int64_t now);
 
-  /// Count one frame dropped because its channel was quarantined.
-  void note_quarantine_drop() {
-    quarantine_drops_.fetch_add(1, std::memory_order_relaxed);
-  }
+  /// Admission of one arriving wire frame on (from, to) at `now`: refuse it
+  /// while the channel is quarantined (a quarantine drop), else decode it
+  /// against `limits` into `payload`, counting a malformed frame when that
+  /// fails. True iff `payload` holds a validated message to deliver.
+  bool admit(AgentId from, AgentId to, std::int64_t now,
+             std::span<const std::uint64_t> frame, const WireLimits& limits,
+             MessagePayload& payload);
 
   std::uint64_t malformed_frames() const {
     return malformed_.load(std::memory_order_relaxed);

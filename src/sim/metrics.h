@@ -3,13 +3,20 @@
 //   maxcck — sum over cycles of the maximal per-agent nogood-check count.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 
 #include "csp/problem.h"
 #include "sim/fault.h"
 #include "sim/monitor.h"
 
+namespace discsp::recovery {
+class RetransmitBuffer;
+}
+
 namespace discsp::sim {
+
+class ChannelGuard;
 
 struct RunMetrics {
   int cycles = 0;
@@ -71,13 +78,77 @@ struct RunMetrics {
   std::uint64_t agent_migrations = 0;  ///< agents adopted away from home
   std::uint64_t migration_fenced = 0;  ///< stale dead-incarnation frames dropped
   /// Quarantined channels readmitted after a clean probation window (the
-  /// recovery half of `quarantines`; previously visible only in chaos_sweep).
+  /// recovery half of `quarantines`).
   std::uint64_t quarantine_readmissions = 0;
 
   /// Online invariant-monitor result (all zero when the monitor is off; see
   /// sim/monitor.h). `monitor.violations` must be zero on every healthy run.
   MonitorSummary monitor;
 };
+
+/// How a counter combines across reports: Σ, or max for peak gauges.
+enum class Fold { kSum, kMax };
+
+/// The counter table: calls `f(fold, m.field...)` once per counter a worker
+/// reports, passing the same field of every `m`. Its order is the wire
+/// format of NetStats `metrics_words` and of the coordinator journal's
+/// `prior_words`, so it is append-only: a new counter goes at the end, where
+/// an older peer's shorter list simply leaves it untouched. Never reorder.
+/// Fields not listed (cycles, maxcck, the outcome bools,
+/// `faults.crashes_by_agent`, the monitor's screening/stall counts and
+/// reports) are the coordinator's own and do not travel.
+template <typename F, typename... M>
+void for_each_counter(F&& f, M&... m) {
+  f(Fold::kSum, m.messages...);
+  f(Fold::kSum, m.total_checks...);
+  f(Fold::kSum, m.work_ops...);
+  f(Fold::kSum, m.nogoods_generated...);
+  f(Fold::kSum, m.redundant_generations...);
+  f(Fold::kSum, m.refresh_messages...);
+  f(Fold::kSum, m.heartbeats...);
+  f(Fold::kSum, m.retransmissions...);
+  f(Fold::kSum, m.detector_false_positives...);
+  f(Fold::kSum, m.malformed_frames...);
+  f(Fold::kSum, m.quarantines...);
+  f(Fold::kSum, m.quarantine_drops...);
+  f(Fold::kSum, m.store_evictions...);
+  f(Fold::kMax, m.peak_learned_nogoods...);
+  f(Fold::kSum, m.journal_appends...);
+  f(Fold::kSum, m.journal_checkpoints...);
+  f(Fold::kSum, m.journal_replays...);
+  f(Fold::kSum, m.faults.dropped...);
+  f(Fold::kSum, m.faults.duplicated...);
+  f(Fold::kSum, m.faults.reordered...);
+  f(Fold::kSum, m.faults.delay_spikes...);
+  f(Fold::kSum, m.faults.crashes...);
+  f(Fold::kSum, m.faults.amnesia...);
+  f(Fold::kSum, m.faults.partition_drops...);
+  f(Fold::kSum, m.faults.corrupted...);
+  f(Fold::kSum, m.monitor.violations...);
+  f(Fold::kSum, m.monitor.checks...);
+  f(Fold::kSum, m.monitor.seq_regressions...);
+  f(Fold::kSum, m.backpressure_drops...);
+  f(Fold::kSum, m.agent_migrations...);
+  f(Fold::kSum, m.migration_fenced...);
+  f(Fold::kSum, m.quarantine_readmissions...);
+}
+
+/// Fold every table counter of `add` into `into` by its rule.
+inline void merge_metrics(RunMetrics& into, const RunMetrics& add) {
+  for_each_counter(
+      [](Fold fold, std::uint64_t& a, std::uint64_t b) {
+        a = fold == Fold::kMax ? std::max(a, b) : a + b;
+      },
+      into, add);
+}
+
+/// Set the channel-layer totals of `m` — `faults` from the fault plan,
+/// resends and false positives from the retransmit buffer, malformed frames,
+/// quarantines, quarantine drops and readmissions from the guard. A null
+/// source leaves its counters alone. Every runtime reports through this.
+void set_channel_counters(const FaultPlan* plan,
+                          const recovery::RetransmitBuffer* retransmit,
+                          const ChannelGuard* guard, RunMetrics& m);
 
 struct RunResult {
   RunMetrics metrics;

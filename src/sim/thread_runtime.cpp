@@ -377,24 +377,10 @@ struct ThreadRuntime::Impl {
         // ack machinery — reacts to it. Malformed frames are dropped (their
         // credit was already absorbed above, so conservation holds) and the
         // missing ack makes the detector redeliver a clean copy.
-        bool malformed = false;
-        if (!letter.frame.empty()) {
-          const std::int64_t arrival = now_us();
-          if (guard->is_quarantined(letter.from, static_cast<AgentId>(i),
-                                    arrival)) {
-            guard->note_quarantine_drop();
-            malformed = true;
-          } else {
-            DecodeResult decoded = decode_frame(letter.frame, *wire);
-            if (!decoded.ok()) {
-              guard->record_malformed(letter.from, static_cast<AgentId>(i),
-                                      arrival);
-              malformed = true;
-            } else {
-              letter.payload = std::move(*decoded.payload);
-            }
-          }
-        }
+        const bool malformed =
+            !letter.frame.empty() &&
+            !guard->admit(letter.from, static_cast<AgentId>(i), now_us(),
+                          letter.frame, *wire, letter.payload);
         bool suppressed = false;
         if (!malformed && letter.track_seq != 0 && retransmit != nullptr) {
           suppressed = retransmit->mark_delivered(letter.from,
@@ -578,16 +564,8 @@ RunResult ThreadRuntime::run() {
   result.metrics.refresh_messages =
       impl.refresh_messages.load(std::memory_order_acquire);
   result.metrics.heartbeats = impl.heartbeat_rounds.load(std::memory_order_acquire);
-  if (impl.plan != nullptr) result.metrics.faults = impl.plan->summary();
-  if (impl.retransmit != nullptr) {
-    result.metrics.retransmissions = impl.retransmit->retransmissions();
-    result.metrics.detector_false_positives = impl.retransmit->false_positives();
-  }
-  if (impl.guard != nullptr) {
-    result.metrics.malformed_frames = impl.guard->malformed_frames();
-    result.metrics.quarantines = impl.guard->quarantines();
-    result.metrics.quarantine_drops = impl.guard->quarantine_drops();
-  }
+  set_channel_counters(impl.plan.get(), impl.retransmit.get(), impl.guard.get(),
+                       result.metrics);
   if (impl.monitor != nullptr) {
     // Credit conservation (invariant b), checked after every thread has
     // joined so the counts are race-free: the ledger must never hold more

@@ -303,6 +303,10 @@ TEST(CorruptionChaos, QuarantineEngagesUnderHeavyCorruption) {
   EXPECT_FALSE(result.metrics.insoluble);
   EXPECT_GT(result.metrics.malformed_frames, 0u);
   EXPECT_GT(result.metrics.quarantines, 0u) << "guard never tripped";
+  // Every readmission ends a quarantine, and the guard's readmissions must
+  // reach the run's metrics.
+  EXPECT_GT(result.metrics.quarantine_readmissions, 0u);
+  EXPECT_LE(result.metrics.quarantine_readmissions, result.metrics.quarantines);
   if (result.metrics.solved) {
     EXPECT_TRUE(validate_solution(instance.problem, result.assignment).ok);
   }

@@ -1,17 +1,18 @@
-// Tests of carrier-level frame batching (net/transport.h BatchConfig).
-// Batching must be invisible to the logical frame stream:
+// Tests of the frame carriers: the in-proc ring pipe and TCP's coalescing
+// (net/transport.h BatchConfig). Carriers must be invisible to the logical
+// frame stream:
 //  - bit-identity: a seeded stream of sealed net frames — including
 //    deliberately corrupted ones, which the carrier must haul verbatim for
 //    the receiver-side guard to judge — arrives with identical content and
-//    order at batch 1 (the seed-equivalent path) and batch 64, over both
-//    the in-proc ring transport and TCP loopback;
+//    order through the in-proc ring pipe, and over TCP loopback at batch 1
+//    (the seed-equivalent path) and batch 64;
 //  - a batched TCP close() still flushes deferred frames: terminal
 //    ERROR/STOP delivery (coordinator refuse()/request_stop()) depends on
 //    the bounded final drain;
 //  - end-to-end: a fixed-seed chaos run (drop + duplication + corruption)
-//    solves with a validated assignment and zero monitor violations at
-//    batch 1 and batch 64 on both transports — paper metrics cannot depend
-//    on how frames are carried.
+//    solves with a validated assignment and zero monitor violations in-proc
+//    and over TCP at batch 1 and batch 64 — paper metrics cannot depend on
+//    how frames are carried.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -94,11 +95,10 @@ std::vector<WireFrame> make_stream(std::size_t count, std::uint64_t seed) {
 
 /// Push `stream` through an in-proc connection pair and return what arrived.
 /// Single-threaded on purpose: all frames are queued before any is popped,
-/// which at batch > 1 overflows the SPSC ring and exercises the
-/// overflow-spill FIFO invariant.
-std::vector<WireFrame> roundtrip_inproc(const net::BatchConfig& batch,
-                                        const std::vector<WireFrame>& stream) {
-  net::InProcTransport transport(batch);
+/// so a stream longer than the SPSC ring exercises the overflow-spill FIFO
+/// invariant.
+std::vector<WireFrame> roundtrip_inproc(const std::vector<WireFrame>& stream) {
+  net::InProcTransport transport;
   auto listener = transport.listen("carrier");
   auto client = transport.connect("carrier", 1000);
   auto server = listener->accept();
@@ -170,17 +170,13 @@ std::vector<WireFrame> roundtrip_tcp(const net::BatchConfig& batch,
   return got;
 }
 
-TEST(NetBatching, InProcCarrierIsBitIdenticalAcrossBatchSettings) {
-  // 6000 frames > the 4096-slot ring: the batched run must spill to the
-  // overflow deque and drain back without reordering or loss.
+TEST(NetBatching, InProcRingPipeIsBitIdentical) {
+  // 6000 frames > the 4096-slot ring: the pipe must spill to the overflow
+  // deque and drain back without reordering or loss.
   const auto stream = make_stream(6000, 0xba7c4);
-  const auto unbatched =
-      roundtrip_inproc(net::BatchConfig::unbatched(), stream);
-  const auto batched = roundtrip_inproc(batched64(), stream);
-  ASSERT_EQ(unbatched.size(), stream.size());
-  ASSERT_EQ(batched.size(), stream.size());
-  EXPECT_EQ(unbatched, stream);
-  EXPECT_EQ(batched, stream);
+  const auto got = roundtrip_inproc(stream);
+  ASSERT_EQ(got.size(), stream.size());
+  EXPECT_EQ(got, stream);
 }
 
 TEST(NetBatching, TcpCarrierIsBitIdenticalAcrossBatchSettings) {
@@ -235,7 +231,7 @@ TEST(NetBatching, TcpCloseFlushesDeferredFrames) {
   EXPECT_EQ(got, stream);
 }
 
-// --- End-to-end: the chaos acceptance run at both batch settings ---------
+// --- End-to-end: the chaos acceptance run on every carrier ---------------
 
 JobSpec make_job(int n, std::uint64_t seed, int num_workers) {
   Rng rng(seed);
@@ -281,29 +277,6 @@ void expect_chaos_run_clean(const ServeConfig& config,
   EXPECT_GT(result.run.metrics.faults.corrupted, 0u);
 }
 
-void run_inproc_chaos(const net::BatchConfig& batch) {
-  net::InProcTransport transport(batch);
-  ServeConfig config;
-  config.job = make_job(24, 41, 3);
-  config.deadline_ms = 60000;
-
-  std::vector<WorkerConfig> workers;
-  for (int i = 0; i < 3; ++i) workers.push_back(worker_config("chaos", i));
-
-  auto listener = transport.listen("chaos");
-  std::vector<std::thread> threads;
-  threads.reserve(workers.size());
-  std::vector<WorkerResult> results(workers.size());
-  for (std::size_t i = 0; i < workers.size(); ++i) {
-    threads.emplace_back([&transport, &workers, &results, i] {
-      results[i] = net::run_worker(transport, workers[i]);
-    });
-  }
-  const ServeResult result = net::serve(*listener, config);
-  for (auto& t : threads) t.join();
-  expect_chaos_run_clean(config, result);
-}
-
 void run_tcp_chaos(const net::BatchConfig& batch) {
   net::TcpTransport transport(batch);
   auto listener = transport.listen("127.0.0.1:0");
@@ -327,12 +300,27 @@ void run_tcp_chaos(const net::BatchConfig& batch) {
   expect_chaos_run_clean(config, result);
 }
 
-TEST(NetBatchingChaos, InProcChaosSolvesUnbatched) {
-  run_inproc_chaos(net::BatchConfig::unbatched());
-}
-
 TEST(NetBatchingChaos, InProcChaosSolvesBatched) {
-  run_inproc_chaos(batched64());
+  net::InProcTransport transport;
+  ServeConfig config;
+  config.job = make_job(24, 41, 3);
+  config.deadline_ms = 60000;
+
+  std::vector<WorkerConfig> workers;
+  for (int i = 0; i < 3; ++i) workers.push_back(worker_config("chaos", i));
+
+  auto listener = transport.listen("chaos");
+  std::vector<std::thread> threads;
+  threads.reserve(workers.size());
+  std::vector<WorkerResult> results(workers.size());
+  for (std::size_t i = 0; i < workers.size(); ++i) {
+    threads.emplace_back([&transport, &workers, &results, i] {
+      results[i] = net::run_worker(transport, workers[i]);
+    });
+  }
+  const ServeResult result = net::serve(*listener, config);
+  for (auto& t : threads) t.join();
+  expect_chaos_run_clean(config, result);
 }
 
 TEST(NetBatchingChaos, TcpChaosSolvesUnbatched) {

@@ -2,9 +2,12 @@
 //  - every frame kind round-trips through encode_net_frame/decode_net_frame;
 //  - hostile input never decodes: truncation, checksum damage, unknown
 //    kinds and out-of-bounds fields are rejected with the right error;
-//  - the RunMetrics counter words round-trip through
-//    encode_metrics_words/decode_metrics_words, and short (older-worker)
-//    word lists leave the trailing counters untouched.
+//  - the RunMetrics counter table (sim::for_each_counter): every counter
+//    round-trips through encode_metrics_words/decode_metrics_words, word i
+//    is still the i-th counter of the first 32-word format (stats frames
+//    and coordinator journals depend on it), short (older-worker) lists
+//    leave trailing counters untouched, long (newer-worker) lists are cut,
+//    and sim::merge_metrics sums every counter but the peak gauge.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -449,55 +452,78 @@ TEST(NetFrame, FuzzRandomWordsNeverCrash) {
   }
 }
 
-TEST(NetFrame, MetricsWordsRoundTrip) {
-  sim::RunMetrics metrics;
-  metrics.messages = 10;
-  metrics.total_checks = 20;
-  metrics.work_ops = 30;
-  metrics.nogoods_generated = 40;
-  metrics.redundant_generations = 50;
-  metrics.refresh_messages = 60;
-  metrics.heartbeats = 70;
-  metrics.retransmissions = 80;
-  metrics.detector_false_positives = 90;
-  metrics.malformed_frames = 100;
-  metrics.quarantines = 110;
-  metrics.quarantine_drops = 120;
-  metrics.journal_appends = 130;
-  metrics.journal_checkpoints = 140;
-  metrics.journal_replays = 150;
-  metrics.store_evictions = 160;
-  metrics.peak_learned_nogoods = 170;
-  metrics.faults.dropped = 180;
-  metrics.faults.duplicated = 190;
-  metrics.monitor.violations = 200;
-  metrics.monitor.checks = 210;
-  metrics.backpressure_drops = 220;
+/// The stats-word order as first shipped, 32 counters long. Workers and
+/// coordinator journals written in it must keep decoding, so the counter
+/// table may only grow at the end; so may this list.
+std::vector<std::uint64_t*> pinned_wire_order(sim::RunMetrics& m) {
+  return {
+      &m.messages,
+      &m.total_checks,
+      &m.work_ops,
+      &m.nogoods_generated,
+      &m.redundant_generations,
+      &m.refresh_messages,
+      &m.heartbeats,
+      &m.retransmissions,
+      &m.detector_false_positives,
+      &m.malformed_frames,
+      &m.quarantines,
+      &m.quarantine_drops,
+      &m.store_evictions,
+      &m.peak_learned_nogoods,
+      &m.journal_appends,
+      &m.journal_checkpoints,
+      &m.journal_replays,
+      &m.faults.dropped,
+      &m.faults.duplicated,
+      &m.faults.reordered,
+      &m.faults.delay_spikes,
+      &m.faults.crashes,
+      &m.faults.amnesia,
+      &m.faults.partition_drops,
+      &m.faults.corrupted,
+      &m.monitor.violations,
+      &m.monitor.checks,
+      &m.monitor.seq_regressions,
+      &m.backpressure_drops,
+      &m.agent_migrations,
+      &m.migration_fenced,
+      &m.quarantine_readmissions,
+  };
+}
 
+/// Give every counter of the table a distinct nonzero value.
+sim::RunMetrics distinct_counters() {
+  sim::RunMetrics m;
+  std::uint64_t next = 1;
+  sim::for_each_counter(
+      [&](sim::Fold, std::uint64_t& field) { field = 1000 * next++; }, m);
+  return m;
+}
+
+TEST(NetFrame, MetricsWordsRoundTrip) {
+  const sim::RunMetrics metrics = distinct_counters();
   sim::RunMetrics out;
   net::decode_metrics_words(net::encode_metrics_words(metrics), out);
-  EXPECT_EQ(out.messages, 10u);
-  EXPECT_EQ(out.total_checks, 20u);
-  EXPECT_EQ(out.work_ops, 30u);
-  EXPECT_EQ(out.nogoods_generated, 40u);
-  EXPECT_EQ(out.redundant_generations, 50u);
-  EXPECT_EQ(out.refresh_messages, 60u);
-  EXPECT_EQ(out.heartbeats, 70u);
-  EXPECT_EQ(out.retransmissions, 80u);
-  EXPECT_EQ(out.detector_false_positives, 90u);
-  EXPECT_EQ(out.malformed_frames, 100u);
-  EXPECT_EQ(out.quarantines, 110u);
-  EXPECT_EQ(out.quarantine_drops, 120u);
-  EXPECT_EQ(out.journal_appends, 130u);
-  EXPECT_EQ(out.journal_checkpoints, 140u);
-  EXPECT_EQ(out.journal_replays, 150u);
-  EXPECT_EQ(out.store_evictions, 160u);
-  EXPECT_EQ(out.peak_learned_nogoods, 170u);
-  EXPECT_EQ(out.faults.dropped, 180u);
-  EXPECT_EQ(out.faults.duplicated, 190u);
-  EXPECT_EQ(out.monitor.violations, 200u);
-  EXPECT_EQ(out.monitor.checks, 210u);
-  EXPECT_EQ(out.backpressure_drops, 220u);
+  std::size_t index = 0;
+  sim::for_each_counter(
+      [&](sim::Fold, std::uint64_t sent, std::uint64_t got) {
+        EXPECT_EQ(got, sent) << "counter " << index;
+        ++index;
+      },
+      metrics, out);
+  EXPECT_GE(index, pinned_wire_order(out).size());
+}
+
+TEST(NetFrame, MetricsWordsKeepTheirWireOrder) {
+  sim::RunMetrics metrics;
+  const std::vector<std::uint64_t*> fields = pinned_wire_order(metrics);
+  for (std::size_t i = 0; i < fields.size(); ++i) *fields[i] = 7000 + i;
+  const std::vector<std::uint64_t> words = net::encode_metrics_words(metrics);
+  ASSERT_GE(words.size(), fields.size());
+  for (std::size_t i = 0; i < fields.size(); ++i) {
+    EXPECT_EQ(words[i], 7000 + i) << "word " << i;
+  }
 }
 
 TEST(NetFrame, ShortMetricsWordsLeaveTrailingCountersUntouched) {
@@ -508,6 +534,48 @@ TEST(NetFrame, ShortMetricsWordsLeaveTrailingCountersUntouched) {
   EXPECT_EQ(out.messages, 1u);
   EXPECT_EQ(out.total_checks, 2u);
   EXPECT_EQ(out.monitor.violations, 5u);
+
+  // A newer worker's extra trailing words are ignored: every known counter
+  // takes its word and nothing outside the table changes.
+  std::vector<std::uint64_t> words =
+      net::encode_metrics_words(distinct_counters());
+  const std::size_t known = words.size();
+  words.insert(words.end(), {11, 12, 13});
+  sim::RunMetrics newer;
+  newer.cycles = 3;
+  newer.maxcck = 4;
+  net::decode_metrics_words(words, newer);
+  words.resize(known);
+  EXPECT_EQ(net::encode_metrics_words(newer), words);
+  EXPECT_EQ(newer.cycles, 3);
+  EXPECT_EQ(newer.maxcck, 4u);
+}
+
+TEST(NetFrame, MergeSumsCountersAndKeepsThePeakMax) {
+  sim::RunMetrics into;
+  sim::RunMetrics add;
+  const std::vector<std::uint64_t*> a = pinned_wire_order(into);
+  const std::vector<std::uint64_t*> b = pinned_wire_order(add);
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    *a[i] = i + 1;
+    *b[i] = 100 * (i + 1);
+  }
+  into.peak_learned_nogoods = 500;
+  add.peak_learned_nogoods = 7;
+  into.cycles = 9;
+  add.cycles = 90;
+
+  sim::merge_metrics(into, add);
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (a[i] == &into.peak_learned_nogoods) continue;
+    EXPECT_EQ(*a[i], 101 * (i + 1)) << "word " << i;
+  }
+  EXPECT_EQ(into.peak_learned_nogoods, 500u);  // max, not 507
+  EXPECT_EQ(into.cycles, 9);  // outcome fields are not counters
+
+  add.peak_learned_nogoods = 800;
+  sim::merge_metrics(into, add);
+  EXPECT_EQ(into.peak_learned_nogoods, 800u);
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Full local check: normal build + complete test suite, then a
 # ThreadSanitizer build running the concurrency-sensitive tests (the
-# thread runtime and the fault/chaos layer exercise real threads and the
-# shared FaultPlan).
+# thread runtime, the fault/chaos layer and the net carriers exercise real
+# threads), then an ASan+UBSan build running the wire and net-frame decoder
+# fuzzers and the chaos suites.
 #
 # Usage: tools/check.sh [build-dir-prefix]
 #   BUILD_DIR=dir   override the build directory prefix (same as argv[1])
@@ -32,8 +33,8 @@ echo "--- TSan: thread runtime + fault layer + net transport tests ---"
 # include ThreadRuntime legs that exercise the monitor's concurrent mode;
 # NetLoopback* runs coordinator + worker threads over the in-proc and TCP
 # transports (the multi-process runtime's real concurrency surface);
-# NetBatching* drives the lock-free ring and coalesced-TCP carrier paths at
-# batch 1 and 64 (SPSC ring + overflow handoff, eventcount park/wake).
+# NetBatching* drives the in-proc ring pipe (SPSC ring + overflow handoff,
+# eventcount park/wake) and the coalesced-TCP carrier at batch 1 and 64.
 if ! "${prefix}-tsan/tests/discsp_tests" \
     --gtest_filter='ThreadRuntime*:FaultPlan*:FaultChaos*:AmnesiaChaos*:PartitionChaos*:CorruptionChaos*:*Credit*:NetLoopback*:NetSupervisor*:NetBatching*'; then
   echo "TSan leg failed." >&2
@@ -48,15 +49,18 @@ cmake -B "${prefix}-asan" -S . \
       -DDISCSP_BUILD_EXAMPLES=OFF >/dev/null
 cmake --build "${prefix}-asan" -j "${jobs}" --target discsp_tests
 
-echo "--- ASan+UBSan: wire decode fuzz + corruption/partition chaos + store churn + DB sender slots ---"
+echo "--- ASan+UBSan: wire + net-frame decode fuzz + corruption/partition chaos + store churn + DB sender slots ---"
 # The decoder fuzz tests feed adversarial frames straight into the parser;
+# NetFrame* does the same to the net control-frame decoder (bit flips,
+# random words, truncated prefixes of every kind) and walks the stats-word
+# decode, which indexes the counter table by a word count taken off the wire;
 # IncrementalView* churns the nogood store (add/remove/evict/compact against
 # a brute-force oracle). DbProtocol* and the DB duplication/reordering chaos
 # test drive DbAgent's sender -> slot table, which is indexed by a sender id
 # taken off the wire (negative, past-the-table and non-neighbor senders).
 # ASan/UBSan turn any out-of-bounds read or signed overflow into a failure.
 if ! "${prefix}-asan/tests/discsp_tests" \
-    --gtest_filter='WireFormat*:ChannelGuardPolicy*:DcspDigest*:ReproBundle*:MonitorOracle*:PartitionSchedule*:PartitionChaos*:CorruptionChaos*:IncrementalView*:DbProtocol*:FaultChaos.DbSolvesUnderDuplicationAndReordering'; then
+    --gtest_filter='WireFormat*:ChannelGuardPolicy*:DcspDigest*:ReproBundle*:MonitorOracle*:PartitionSchedule*:PartitionChaos*:CorruptionChaos*:IncrementalView*:DbProtocol*:FaultChaos.DbSolvesUnderDuplicationAndReordering:NetFrame*'; then
   echo "ASan leg failed." >&2
   exit 1
 fi
