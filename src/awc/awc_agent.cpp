@@ -304,23 +304,25 @@ void AwcAgent::evaluate_scan(sim::MessageSink& out) {
   }
   if (current_violations.empty()) return;  // consistent: weak commitment holds
 
-  // Pass 2: higher nogoods (and the violated ones among them) per candidate
-  // value. `all_higher` feeds the mcs subset search's cost accounting.
+  // Pass 2: the higher nogoods (value-independent; they also feed the mcs
+  // subset search's cost accounting), and the violated ones among them per
+  // candidate value.
+  std::vector<const Nogood*> higher;
+  for (std::size_t idx = 0; idx < store_.size(); ++idx) {
+    if (nogood_is_higher(store_.at(idx))) higher.push_back(&store_.at(idx));
+  }
   std::vector<std::vector<const Nogood*>> violated_higher(
-      static_cast<std::size_t>(domain_size_));
-  std::vector<std::vector<const Nogood*>> all_higher(
       static_cast<std::size_t>(domain_size_));
   std::vector<Value> consistent;
   for (Value d = 0; d < domain_size_; ++d) {
     auto& violated = violated_higher[static_cast<std::size_t>(d)];
-    for (std::size_t idx = 0; idx < store_.size(); ++idx) {
-      const Nogood& ng = store_.at(idx);
-      if (!nogood_is_higher(ng)) continue;
-      all_higher[static_cast<std::size_t>(d)].push_back(&ng);
-      if (d == value_) continue;  // current value already tested in pass 1
-      if (violated_with_own(ng, d)) violated.push_back(&ng);
+    if (d == value_) {
+      violated = std::move(current_violations);  // already tested in pass 1
+    } else {
+      for (const Nogood* ng : higher) {
+        if (violated_with_own(*ng, d)) violated.push_back(ng);
+      }
     }
-    if (d == value_) violated = std::move(current_violations);
     if (violated.empty()) consistent.push_back(d);
   }
 
@@ -331,7 +333,7 @@ void AwcAgent::evaluate_scan(sim::MessageSink& out) {
     return;
   }
 
-  handle_deadend(std::move(violated_higher), std::move(all_higher), out);
+  handle_deadend(violated_higher, higher, out);
 }
 
 void AwcAgent::evaluate_incremental(sim::MessageSink& out) {
@@ -340,73 +342,71 @@ void AwcAgent::evaluate_incremental(sim::MessageSink& out) {
   // order. The scan path evaluates every stored nogood here — credit the
   // same store_.size() checks.
   checks_ += store_.size();
+  auto& violated_higher = scratch_violated_higher_;
+  violated_higher.resize(static_cast<std::size_t>(domain_size_));
+  for (auto& list : violated_higher) list.clear();
+  auto& current_violations = violated_higher[static_cast<std::size_t>(value_)];
   scratch_violated_.clear();
   store_.violated_with_own(value_, scratch_violated_);
-  std::vector<const Nogood*> current_violations;
   for (std::uint32_t idx : scratch_violated_) {
     store_.note_violation(idx);  // identical LRU stamping order to the scan
-    const Nogood& ng = store_.at(idx);
-    if (nogood_is_higher(ng)) current_violations.push_back(&ng);
+    if (stored_is_higher(idx)) current_violations.push_back(&store_.at(idx));
   }
   if (current_violations.empty()) return;  // consistent: weak commitment holds
 
-  // Pass 2: the higher-nogood list is value-independent; the violated subset
-  // per candidate comes from the counters. The scan path meters
-  // (domain - 1) * |higher| checks here — credit the same.
-  std::vector<const Nogood*> higher;
-  for (std::size_t idx = 0; idx < store_.size(); ++idx) {
-    if (nogood_is_higher(store_.at(idx))) higher.push_back(&store_.at(idx));
-  }
-  checks_ += static_cast<std::uint64_t>(domain_size_ - 1) * higher.size();
-
-  std::vector<std::vector<const Nogood*>> violated_higher(
-      static_cast<std::size_t>(domain_size_));
-  std::vector<std::vector<const Nogood*>> all_higher(
-      static_cast<std::size_t>(domain_size_));
+  // Pass 2: the violated higher nogoods per candidate value come from the
+  // counters.
   std::vector<Value> consistent;
   for (Value d = 0; d < domain_size_; ++d) {
-    all_higher[static_cast<std::size_t>(d)] = higher;
     auto& violated = violated_higher[static_cast<std::size_t>(d)];
-    if (d == value_) {
-      violated = std::move(current_violations);
-    } else {
+    if (d != value_) {
       scratch_violated_.clear();
       store_.violated_with_own(d, scratch_violated_);
       for (std::uint32_t idx : scratch_violated_) {
-        const Nogood& ng = store_.at(idx);
-        if (nogood_is_higher(ng)) violated.push_back(&ng);
+        if (stored_is_higher(idx)) violated.push_back(&store_.at(idx));
       }
     }
     if (violated.empty()) consistent.push_back(d);
   }
 
+  // The scan path meters (domain - 1) * |higher| checks in pass 2 — credit
+  // the same. A deadend also hands the (value-independent) list itself to
+  // the learning strategy.
+  scratch_higher_.clear();
+  for (std::size_t idx = 0; idx < store_.size(); ++idx) {
+    if (stored_is_higher(idx)) scratch_higher_.push_back(&store_.at(idx));
+  }
+  checks_ += static_cast<std::uint64_t>(domain_size_ - 1) * scratch_higher_.size();
   if (!consistent.empty()) {
     set_value(min_conflict_value(consistent, nullptr));
     broadcast_ok(out);
     return;
   }
 
-  handle_deadend(std::move(violated_higher), std::move(all_higher), out);
+  handle_deadend(violated_higher, scratch_higher_, out);
 }
 
-void AwcAgent::handle_deadend(std::vector<std::vector<const Nogood*>> violated_higher,
-                              std::vector<std::vector<const Nogood*>> all_higher,
+void AwcAgent::handle_deadend(const std::vector<std::vector<const Nogood*>>& violated_higher,
+                              std::span<const Nogood* const> higher,
                               sim::MessageSink& out) {
   learning::DeadendContext ctx;
   ctx.own = var_;
   ctx.domain_size = domain_size_;
   ctx.violated = violated_higher;
-  ctx.higher = all_higher;
+  ctx.higher = higher;
   // The flat view in ascending variable order; strategies canonicalize the
-  // nogoods they build from it, so the order carries no meaning.
+  // nogoods they build from it, so the order carries no meaning. The same
+  // pass finds the highest priority in the view for the raise below.
   const auto view = store_.view_values();
-  std::vector<Assignment> view_items;
+  scratch_view_.clear();
+  Priority max_seen = 0;
   for (std::size_t v = 0; v < view.size(); ++v) {
     if (view[v] != kNoValue) {
-      view_items.push_back({static_cast<VarId>(v), view[v]});
+      scratch_view_.push_back({static_cast<VarId>(v), view[v]});
+      if (v < view_priority_.size()) max_seen = std::max(max_seen, view_priority_[v]);
     }
   }
-  ctx.agent_view = &view_items;
+  ctx.agent_view = &scratch_view_;
   ctx.order = this;
 
   std::optional<Nogood> learned = strategy_->learn(ctx, checks_);
@@ -450,13 +450,6 @@ void AwcAgent::handle_deadend(std::vector<std::vector<const Nogood*>> violated_h
   std::vector<Value> all_values(static_cast<std::size_t>(domain_size_));
   for (Value d = 0; d < domain_size_; ++d) all_values[static_cast<std::size_t>(d)] = d;
   set_value(min_conflict_value(all_values, &violated_higher));
-
-  Priority max_seen = 0;
-  for (std::size_t v = 0; v < view.size(); ++v) {
-    if (view[v] != kNoValue && v < view_priority_.size()) {
-      max_seen = std::max(max_seen, view_priority_[v]);
-    }
-  }
   set_priority(max_seen + 1);
   dirty_ = true;  // classification changed with the priority; re-examine next round
   broadcast_ok(out);

@@ -30,6 +30,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <unordered_set>
 #include <vector>
 
@@ -77,6 +78,25 @@ struct AwcAgentConfig {
   /// flat scans. Metrics are bit-identical either way.
   bool incremental = true;
 };
+
+/// Higher/lower classification over flat arrays: true iff every variable in
+/// `vars` (a stored nogood's non-own variables) outranks the own variable,
+/// under the strict order of learning::PriorityOrder (higher priority wins,
+/// ties go to the smaller id). A variable the view does not know (kNoValue
+/// in `view`) ranks at priority 0. This is exactly "the weakest non-own
+/// variable outranks own" without locating the weakest; a nogood with no
+/// non-own variable binds unconditionally and counts as higher.
+inline bool nogood_outranks_own(std::span<const VarId> vars, std::span<const Value> view,
+                                std::span<const Priority> view_priority,
+                                Priority own_priority, VarId own) {
+  for (const VarId v : vars) {
+    const auto i = static_cast<std::size_t>(v);
+    const bool known = i < view.size() && view[i] != kNoValue;
+    const Priority p = known && i < view_priority.size() ? view_priority[i] : 0;
+    if (p != own_priority ? p < own_priority : v > own) return false;
+  }
+  return true;
+}
 
 class AwcAgent final : public sim::Agent, private learning::PriorityOrder {
  public:
@@ -128,7 +148,13 @@ class AwcAgent final : public sim::Agent, private learning::PriorityOrder {
 
   Value view_value(VarId v) const { return store_.view_value(v); }
   bool view_known(VarId v) const { return store_.view_value(v) != kNoValue; }
+  /// Scan-path classification through weakest_var (the oracle).
   bool nogood_is_higher(const Nogood& ng) const;
+  /// Counter-path classification of stored nogood `idx` (arena read).
+  bool stored_is_higher(std::size_t idx) const {
+    return nogood_outranks_own(store_.lit_vars(idx), store_.view_values(), view_priority_,
+                               priority_, var_);
+  }
   /// One metered evaluation of a stored nogood under the view with own = d.
   bool violated_with_own(const Nogood& ng, Value d);
 
@@ -139,9 +165,8 @@ class AwcAgent final : public sim::Agent, private learning::PriorityOrder {
   void evaluate(sim::MessageSink& out);
   void evaluate_scan(sim::MessageSink& out);
   void evaluate_incremental(sim::MessageSink& out);
-  void handle_deadend(std::vector<std::vector<const Nogood*>> violated_higher,
-                      std::vector<std::vector<const Nogood*>> all_higher,
-                      sim::MessageSink& out);
+  void handle_deadend(const std::vector<std::vector<const Nogood*>>& violated_higher,
+                      std::span<const Nogood* const> higher, sim::MessageSink& out);
   /// Append one journal record (no-op unless journaling), then fold the log
   /// into a checkpoint when it has grown past the configured interval.
   void journal(recovery::JournalRecord record);
@@ -195,6 +220,10 @@ class AwcAgent final : public sim::Agent, private learning::PriorityOrder {
   std::vector<VarId> pending_value_requests_;   // unknown vars from nogoods
   std::vector<AgentId> pending_link_replies_;   // new links awaiting our ok?
   std::vector<std::uint32_t> scratch_violated_;  // reused per evaluate()
+  // Reused per counter-path evaluation / deadend (capacity only).
+  std::vector<std::vector<const Nogood*>> scratch_violated_higher_;
+  std::vector<const Nogood*> scratch_higher_;
+  std::vector<Assignment> scratch_view_;
 
   Rng rng_;
   AwcAgentConfig config_;

@@ -52,15 +52,16 @@ void NogoodStore::set_view(VarId var, Value value) {
   if (slot == value) return;
   const Value old = slot;
   slot = value;
-  for (const Occ& o : occ_[static_cast<std::size_t>(var)]) {
-    ++work_ops_;
+  const auto& occs = occ_[static_cast<std::size_t>(var)];
+  work_ops_ += occs.size();
+  for (const Occ& o : occs) {
     const bool was = o.bound == old;
     const bool now = o.bound == value;
     if (was == now) continue;
     if (now) {
-      if (++matched_[o.ng] == lits_[o.ng].len) enter_violated(o.ng);
+      if (--unmatched_[o.ng] == 0) enter_violated(o.ng);
     } else {
-      if (matched_[o.ng]-- == lits_[o.ng].len) leave_violated(o.ng);
+      if (unmatched_[o.ng]++ == 0) leave_violated(o.ng);
     }
   }
 }
@@ -89,9 +90,9 @@ void NogoodStore::insert_unchecked(Nogood ng, Meta meta) {
   max_size_ = std::max(max_size_, ng.size());
 
   // Arena/counter bookkeeping: append the non-own literals to the arena,
-  // index their occurrences, and count the ones already matching the view.
+  // index their occurrences, and count the ones not yet matching the view.
   Lits lits{static_cast<std::uint32_t>(arena_vars_.size()), 0};
-  std::uint32_t matched = 0;
+  std::uint32_t unmatched = 0;
   for (const Assignment& a : ng) {
     if (a.var == own_) continue;
     ++work_ops_;
@@ -99,17 +100,17 @@ void NogoodStore::insert_unchecked(Nogood ng, Meta meta) {
     arena_vars_.push_back(a.var);
     arena_vals_.push_back(a.value);
     occ_[static_cast<std::size_t>(a.var)].push_back(Occ{idx, a.value});
-    if (view_[static_cast<std::size_t>(a.var)] == a.value) ++matched;
+    if (view_[static_cast<std::size_t>(a.var)] != a.value) ++unmatched;
     ++lits.len;
   }
   arena_live_ += lits.len;
   lits_.push_back(lits);
-  matched_.push_back(matched);
+  unmatched_.push_back(unmatched);
   own_binding_.push_back(v);
   vpos_.push_back(kNoPos);
   nogoods_.push_back(std::move(ng));
   meta_.push_back(meta);
-  if (matched == lits.len) enter_violated(idx);
+  if (unmatched == 0) enter_violated(idx);
 }
 
 void NogoodStore::compact_arena() {
@@ -182,14 +183,14 @@ void NogoodStore::remove_at(std::size_t idx) {
     nogoods_[idx] = std::move(nogoods_[last]);
     meta_[idx] = meta_[last];
     lits_[idx] = lits_[last];
-    matched_[idx] = matched_[last];
+    unmatched_[idx] = unmatched_[last];
     own_binding_[idx] = own_binding_[last];
     vpos_[idx] = vpos_[last];
   }
   nogoods_.pop_back();
   meta_.pop_back();
   lits_.pop_back();
-  matched_.pop_back();
+  unmatched_.pop_back();
   own_binding_.pop_back();
   vpos_.pop_back();
 

@@ -8,9 +8,10 @@
 //
 // Incremental consistency engine (Chaff-style counting adapted to nogoods):
 // the store mirrors the agent's view of the *other* variables (`set_view`)
-// and keeps, per nogood, a counter of how many of its non-own literals match
-// that view. A nogood binding own = d is violated under the view with
-// x_own = d exactly when all of its non-own literals match, so a view update
+// and keeps, per nogood, a counter of how many of its non-own literals do
+// *not* match that view. A nogood binding own = d is violated under the view
+// with x_own = d exactly when that counter is zero (one load per touched
+// occurrence, no separate literal count to compare against), so a view update
 // for variable v only touches the nogoods mentioning v (var -> occurrence
 // index), and "how many nogoods rule out d" (`violated_count`) is an O(1)
 // read instead of a bucket scan. The counters stay correct across add,
@@ -209,7 +210,7 @@ class NogoodStore {
   std::vector<Value> arena_vals_;           // ...(non-own literals only)
   std::size_t arena_live_ = 0;              // arena entries still referenced
   std::vector<Lits> lits_;                  // nogood -> arena slice
-  std::vector<std::uint32_t> matched_;      // nogood -> matching non-own literals
+  std::vector<std::uint32_t> unmatched_;    // nogood -> non-own literals not matching
   std::vector<Value> own_binding_;          // nogood -> own-variable value
   std::vector<std::vector<std::uint32_t>> violated_;  // own value -> violated nogoods
   std::vector<std::uint32_t> vpos_;         // nogood -> position in its violated list

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <unordered_map>
+#include <optional>
+#include <span>
+#include <vector>
 
 #include "learning/resolvent.h"
 
@@ -10,38 +12,56 @@ namespace discsp::learning {
 
 namespace {
 
-/// One candidate higher nogood, pre-indexed against the resolvent variables:
-/// `mask` marks which resolvent variables it uses; `inside` is false when it
-/// also touches a variable outside the resolvent (such a nogood can never
-/// support a subset of the resolvent); `violated` records whether it is
-/// violated under the full agent_view — a nogood is violated under the
-/// restricted view S ∪ {own=d} iff it is violated under the full view AND
-/// its variables fit inside S ∪ {own}.
-struct IndexedNogood {
-  const Nogood* nogood = nullptr;
+/// A pool candidate that can support a subset: violated under the full view
+/// with own = d and using only resolvent variables (a nogood is violated
+/// under the restricted view S ∪ {own=d} iff it is violated under the full
+/// view AND its variables fit inside S ∪ {own}). `pos` is its position in
+/// the value's candidate pool; `mask` marks the resolvent variables it uses.
+struct Support {
+  std::size_t pos = 0;
   std::uint64_t mask = 0;
-  bool inside = true;
-  bool violated = false;
 };
+
+/// One value's candidate pool, reduced to what the subset test needs: the
+/// pool size and its supporting candidates in ascending pool position.
+struct ValuePool {
+  std::size_t size = 0;
+  std::vector<Support> supports;
+};
+
+/// The resolvent-variable mask of `ng` (own excluded), found by a merge walk
+/// of the two sorted variable lists; nullopt when `ng` also touches a
+/// variable outside the resolvent (it can never support a subset of it).
+std::optional<std::uint64_t> resolvent_mask(const Nogood& ng, VarId own,
+                                            std::span<const Assignment> resolvent) {
+  std::uint64_t mask = 0;
+  std::size_t i = 0;
+  for (const Assignment& a : ng) {
+    if (a.var == own) continue;
+    while (i < resolvent.size() && resolvent[i].var < a.var) ++i;
+    if (i == resolvent.size() || resolvent[i].var != a.var) return std::nullopt;
+    mask |= 1ULL << i;
+  }
+  return mask;
+}
 
 /// Subset test: S (as a bitmask over resolvent variables) is a conflict set
 /// iff for every value some higher nogood is violated inside S ∪ {own}.
 /// Every nogood examined costs one check — including the ones that turn out
 /// not to be violated; the tester cannot know that without evaluating them,
-/// which is exactly why mcs learning is expensive (paper §4.1).
-bool is_conflict_set(std::uint64_t s_mask,
-                     const std::vector<std::vector<IndexedNogood>>& per_value,
+/// which is exactly why mcs learning is expensive (paper §4.1). Candidates
+/// are examined in pool order, so a value costs the position of its first
+/// support plus one, or the whole pool when nothing supports it.
+bool is_conflict_set(std::uint64_t s_mask, const std::vector<ValuePool>& pools,
                      std::uint64_t& checks) {
-  for (const auto& candidates : per_value) {
-    bool supported = false;
-    for (const IndexedNogood& ing : candidates) {
-      ++checks;
-      if (ing.violated && ing.inside && (ing.mask & ~s_mask) == 0) {
-        supported = true;
-        break;
-      }
+  for (const ValuePool& pool : pools) {
+    const auto hit = std::find_if(pool.supports.begin(), pool.supports.end(),
+                                  [&](const Support& s) { return (s.mask & ~s_mask) == 0; });
+    if (hit == pool.supports.end()) {
+      checks += pool.size;
+      return false;
     }
-    if (!supported) return false;
+    checks += hit->pos + 1;
   }
   return true;
 }
@@ -60,38 +80,33 @@ std::optional<Nogood> McsLearning::learn(const DeadendContext& ctx, std::uint64_
   const std::size_t r = resolvent.size();
   if (r <= 1) return resolvent;  // already minimum
 
-  // Index resolvent variables. Resolvents beyond 64 variables fall back to
-  // the resolvent itself (never happens on the paper's problem classes).
+  // Resolvents beyond 64 variables fall back to the resolvent itself (never
+  // happens on the paper's problem classes).
   if (r > 64) return resolvent;
-  std::unordered_map<VarId, int> var_bit;
-  std::vector<Assignment> items(resolvent.begin(), resolvent.end());
-  for (std::size_t i = 0; i < items.size(); ++i) var_bit[items[i].var] = static_cast<int>(i);
+  const std::span<const Assignment> items = resolvent.items();
 
   // Candidate pool per value: all higher nogoods when the caller provides
-  // them (the faithful, expensive accounting), else the violated ones.
-  const auto& pool = ctx.higher.empty() ? ctx.violated : ctx.higher;
-  std::vector<std::vector<IndexedNogood>> per_value(pool.size());
-  for (std::size_t d = 0; d < pool.size(); ++d) {
-    // Violation status under the full view is known to the caller; recover
-    // it by membership so the subset test need not consult the agent.
-    std::unordered_map<const Nogood*, bool> is_violated;
-    for (const Nogood* ng : ctx.violated[d]) is_violated[ng] = true;
-
-    per_value[d].reserve(pool[d].size());
-    for (const Nogood* ng : pool[d]) {
-      IndexedNogood ing;
-      ing.nogood = ng;
-      ing.violated = is_violated.count(ng) != 0;
-      for (const Assignment& a : *ng) {
-        if (a.var == ctx.own) continue;
-        auto it = var_bit.find(a.var);
-        if (it == var_bit.end()) {
-          ing.inside = false;
-          break;
-        }
-        ing.mask |= 1ULL << it->second;
+  // them (the faithful, expensive accounting), else the violated ones. Only
+  // violated candidates can support a subset, so only they are indexed; a
+  // violated nogood's pool position comes from a forward walk of `higher`,
+  // which lists violated[d] in the same order.
+  std::vector<ValuePool> pools(ctx.violated.size());
+  for (std::size_t d = 0; d < pools.size(); ++d) {
+    const auto& violated = ctx.violated[d];
+    ValuePool& pool = pools[d];
+    pool.size = ctx.higher.empty() ? violated.size() : ctx.higher.size();
+    std::size_t cursor = 0;
+    for (std::size_t j = 0; j < violated.size(); ++j) {
+      std::size_t pos = j;
+      if (!ctx.higher.empty()) {
+        pos = cursor;
+        while (pos < ctx.higher.size() && ctx.higher[pos] != violated[j]) ++pos;
+        if (pos == ctx.higher.size()) continue;  // not a pool candidate
+        cursor = pos;
       }
-      per_value[d].push_back(ing);
+      if (const auto mask = resolvent_mask(*violated[j], ctx.own, items)) {
+        pool.supports.push_back(Support{pos, *mask});
+      }
     }
   }
 
@@ -113,7 +128,7 @@ std::optional<Nogood> McsLearning::learn(const DeadendContext& ctx, std::uint64_
         break;
       }
       ++tests;
-      if (is_conflict_set(combo, per_value, checks)) {
+      if (is_conflict_set(combo, pools, checks)) {
         best = combo;
         found = true;
         break;
@@ -129,7 +144,7 @@ std::optional<Nogood> McsLearning::learn(const DeadendContext& ctx, std::uint64_
     for (std::size_t i = 0; i < r; ++i) {
       const std::uint64_t bit = 1ULL << i;
       if ((best & bit) == 0) continue;
-      if (is_conflict_set(best & ~bit, per_value, checks)) best &= ~bit;
+      if (is_conflict_set(best & ~bit, pools, checks)) best &= ~bit;
     }
   }
 

@@ -48,12 +48,14 @@ struct DeadendContext {
   /// own = d. At a deadend every entry is non-empty. Pointers reference the
   /// agent's store and stay valid for the duration of learn().
   std::span<const std::vector<const Nogood*>> violated;
-  /// higher[d]: *all* higher nogoods binding own = d (a superset of
-  /// violated[d]). The mcs subset search scans these — and pays a check per
-  /// examined nogood — because a subset test cannot know in advance which
-  /// candidates are violated. May be empty (same shape as violated) for
-  /// callers that only use resolvent learning.
-  std::span<const std::vector<const Nogood*>> higher;
+  /// Every higher nogood in the store, whatever value it binds own to — one
+  /// value-independent list in store order, so every violated[d] is a
+  /// subsequence of it (same nogoods, same relative order). The mcs
+  /// subset search scans it once per value — and pays a check per examined
+  /// nogood — because a subset test cannot know in advance which candidates
+  /// are violated. May be empty for callers that only use resolvent
+  /// learning; mcs then scans violated[d] instead.
+  std::span<const Nogood* const> higher;
   /// The agent_view as (var, value) pairs — what ABT-style view learning
   /// records verbatim. May be null for callers that never use ViewLearning.
   const std::vector<Assignment>* agent_view = nullptr;

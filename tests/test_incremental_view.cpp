@@ -10,8 +10,10 @@
 #include <vector>
 
 #include "analysis/experiment.h"
+#include "awc/awc_agent.h"
 #include "common/rng.h"
 #include "csp/nogood_store.h"
+#include "learning/strategy.h"
 
 namespace discsp {
 namespace {
@@ -122,6 +124,110 @@ TEST(IncrementalView, CountersMatchBruteForceUnderRandomChurn) {
   EXPECT_GT(store.size(), 0u);
 }
 
+// Brute-force classification reference: the AWC priority order over a
+// store's mirrored view and a flat priority array, queried through the
+// virtual PriorityOrder interface the scan path uses.
+class ViewOrder final : public learning::PriorityOrder {
+ public:
+  ViewOrder(const NogoodStore& store, const std::vector<Priority>& priority,
+            const Priority& own_priority)
+      : store_(store), priority_(priority), own_priority_(own_priority) {}
+  Priority priority_of(VarId v) const override {
+    if (v == store_.own()) return own_priority_;
+    if (store_.view_value(v) == kNoValue) return 0;
+    const auto i = static_cast<std::size_t>(v);
+    return i < priority_.size() ? priority_[i] : 0;
+  }
+
+ private:
+  const NogoodStore& store_;
+  const std::vector<Priority>& priority_;
+  const Priority& own_priority_;
+};
+
+// The scan path's rule: higher iff the weakest non-own variable outranks own.
+bool weakest_var_is_higher(const ViewOrder& order, const Nogood& ng, VarId own) {
+  const VarId weakest = order.weakest_var(ng, own);
+  return weakest == kNoVar || order.outranks(weakest, own);
+}
+
+TEST(AwcClassify, ArenaClassifierMatchesWeakestVarUnderRandomChurn) {
+  // Own sits mid-range so id tie-breaks go both ways; priorities are drawn
+  // from a small range so ties are common; the last variable lies past the
+  // priority array (it must rank 0, like a variable the view does not know).
+  constexpr VarId kOwn = 3;
+  constexpr int kVars = 8;
+  constexpr int kDomain = 3;
+  Rng rng(0xc1a55ULL);
+  NogoodStore store(kOwn, kDomain);
+  std::vector<Priority> priority(kVars - 1, 0);
+  Priority own_priority = 0;
+  const ViewOrder order(store, priority, own_priority);
+  std::size_t higher_seen = 0;
+  std::size_t lower_seen = 0;
+
+  for (int step = 0; step < 3000; ++step) {
+    switch (rng.index(10)) {
+      case 0:
+      case 1:
+      case 2: {  // add (duplicates exercised on purpose)
+        store.add(random_nogood(rng, kOwn, kVars, kDomain));
+        break;
+      }
+      case 3:
+      case 4: {  // view churn, including "unknown"
+        VarId v;
+        do {
+          v = static_cast<VarId>(rng.index(kVars));
+        } while (v == kOwn);
+        store.set_view(v, rng.index(4) == 0 ? kNoValue
+                                            : static_cast<Value>(rng.index(kDomain)));
+        break;
+      }
+      case 5: {  // a neighbour's priority changes (ties included)
+        priority[rng.index(priority.size())] = static_cast<Priority>(rng.index(4));
+        break;
+      }
+      case 6: {  // deadend raise: own goes above every known view priority
+        Priority max_seen = 0;
+        for (std::size_t v = 0; v < priority.size(); ++v) {
+          if (store.view_value(static_cast<VarId>(v)) != kNoValue) {
+            max_seen = std::max(max_seen, priority[v]);
+          }
+        }
+        own_priority = rng.index(3) == 0 ? static_cast<Priority>(rng.index(4))
+                                         : max_seen + 1;
+        break;
+      }
+      case 7: {  // journal-replay removal by content
+        if (store.size() > 0) store.remove(store.at(rng.index(store.size())));
+        break;
+      }
+      case 8: {  // own move, and a tighter/looser learned bound (evictions)
+        store.set_own_value(static_cast<Value>(rng.index(kDomain)));
+        store.set_capacity(rng.index(2) == 0 ? 0 : 3 + rng.index(5));
+        break;
+      }
+      case 9: {  // crash: the agent forgets its view and its priority
+        store.clear_view();
+        std::fill(priority.begin(), priority.end(), Priority{0});
+        own_priority = 0;
+        break;
+      }
+    }
+    for (std::size_t idx = 0; idx < store.size(); ++idx) {
+      const bool expected = weakest_var_is_higher(order, store.at(idx), kOwn);
+      ASSERT_EQ(awc::nogood_outranks_own(store.lit_vars(idx), store.view_values(),
+                                         priority, own_priority, kOwn),
+                expected)
+          << "step " << step << " nogood " << store.at(idx);
+      (expected ? higher_seen : lower_seen) += 1;
+    }
+  }
+  EXPECT_GT(higher_seen, 1000u);
+  EXPECT_GT(lower_seen, 1000u);
+}
+
 TEST(IncrementalView, SurvivesReplayStyleRebuild) {
   // The amnesia-recovery path: rebuild a fresh store, replay add/remove
   // records, then re-learn the view. Counters must match brute force at
@@ -188,6 +294,24 @@ TEST(IncrementalView, AwcMetricsBitIdenticalToScanPath) {
   const auto b = analysis::run_comparison(spec, scan);
   expect_rows_identical_except_work(a[0], b[0]);
   EXPECT_GT(a[0].mean_total_checks, 0.0);
+}
+
+TEST(IncrementalView, AwcOn3SatBitIdenticalToScanPath) {
+  // Learning-heavy 3SAT: the counter path's arena classification and its
+  // value-independent higher list must reproduce the scan path exactly,
+  // including Mcs, whose subset search meters a check per higher candidate.
+  const auto spec = small_spec(analysis::ProblemFamily::kSat3, 30);
+  for (const char* label : {"Rslv", "Mcs"}) {
+    const std::vector<analysis::NamedRunner> incremental = {
+        {label, analysis::awc_runner(label, true, spec.max_cycles, true)}};
+    const std::vector<analysis::NamedRunner> scan = {
+        {label, analysis::awc_runner(label, true, spec.max_cycles, false)}};
+    const auto a = analysis::run_comparison(spec, incremental);
+    const auto b = analysis::run_comparison(spec, scan);
+    SCOPED_TRACE(label);
+    expect_rows_identical_except_work(a[0], b[0]);
+    EXPECT_GT(a[0].mean_nogoods_generated, 0.0);
+  }
 }
 
 TEST(IncrementalView, AbtMetricsBitIdenticalToScanPath) {

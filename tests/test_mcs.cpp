@@ -125,6 +125,31 @@ TEST(Mcs, ChecksScaleWithCandidatePoolSize) {
   EXPECT_GT(checks_big, checks_small);
 }
 
+TEST(Mcs, HigherPoolPinsLearnedSetAndCheckCount) {
+  // The pool AWC passes: every higher nogood in store order, whatever value
+  // it binds own to. h1 is higher but not violated (the view has x5 = 0);
+  // h3 is violated but uses x7, which the resolvent {x1, x2} leaves out, so
+  // it can never support a subset. Both still cost a check when examined.
+  Nogood h0{{1, 0}, {9, 0}};
+  Nogood h1{{5, 1}, {9, 1}};
+  Nogood h2{{2, 0}, {9, 0}};
+  Nogood h3{{2, 0}, {7, 0}, {9, 1}};
+  Nogood h4{{2, 0}, {9, 1}};
+  const std::vector<const Nogood*> higher = {&h0, &h1, &h2, &h3, &h4};
+  Deadend d({{&h0, &h2}, {&h3, &h4}}, 9, 2);
+  d.ctx.higher = higher;
+  ASSERT_EQ(build_resolvent(d.ctx), (Nogood{{1, 0}, {2, 0}}));
+
+  std::uint64_t checks = 0;
+  const auto learned = McsLearning().learn(d.ctx, checks);
+  ASSERT_TRUE(learned.has_value());
+  EXPECT_EQ(*learned, (Nogood{{2, 0}}));
+  // S = {x1}: value 0 is supported by h0 (1 check); value 1 examines the
+  // whole pool and fails (5). S = {x2}: value 0 passes h0, h1 and stops at
+  // h2 (3); value 1 stops at h4 (5). Total 1 + 5 + 3 + 5.
+  EXPECT_EQ(checks, 14u);
+}
+
 TEST(Mcs, NameAndClone) {
   McsLearning mcs(123);
   EXPECT_EQ(mcs.name(), "Mcs");

@@ -152,10 +152,13 @@ TEST(NetLoopback, TcpDistributedSolveValidates) {
 
 TEST(NetLoopback, DeadlineDegradesToWellFormedPartial) {
   // A large instance with a tiny budget: the run must stop kDeadline and
-  // still return a full-size assignment snapshot plus merged metrics.
+  // still return a full-size assignment snapshot plus merged metrics. At
+  // n = 90 the solver beat the 150 ms budget in roughly one run in ten;
+  // n = 300 has not in hundreds.
+  constexpr int n = 300;
   net::InProcTransport transport;
   ServeConfig config;
-  config.job = make_job(90, 31, 3);
+  config.job = make_job(n, 31, 3);
   config.deadline_ms = 150;
 
   std::vector<WorkerConfig> workers;
@@ -171,7 +174,7 @@ TEST(NetLoopback, DeadlineDegradesToWellFormedPartial) {
   EXPECT_EQ(result.reason, StopReason::kDeadline);
   EXPECT_TRUE(result.run.metrics.timed_out);
   EXPECT_FALSE(result.run.metrics.solved);
-  EXPECT_EQ(result.run.assignment.size(), 90u);
+  EXPECT_EQ(result.run.assignment.size(), static_cast<std::size_t>(n));
   EXPECT_GT(result.run.metrics.messages, 0u);
   EXPECT_EQ(result.run.metrics.monitor.violations, 0u);
 }
@@ -269,12 +272,14 @@ TEST(NetLoopbackChaos, HaltedCoordinatorIsResumedAndRunSolves) {
   ServeConfig config;
   config.job = make_job(48, 61, 3);
   // Heavy drops force repair round-trips, so the solve reliably outlasts
-  // the halt timer.
+  // the halt timer. The in-proc workers attach within a few ms, while the
+  // solve takes 100 ms or more; a halt at 50 ms lands between the two (a
+  // 200 ms halt lost the race to the solve about half the time).
   config.job.bundle.faults.drop_rate = 0.30;
   config.job.bundle.faults.refresh_interval = 25;
   config.deadline_ms = 120000;
   config.journal_path = journal;
-  config.halt_after_ms = 200;
+  config.halt_after_ms = 50;
 
   std::vector<WorkerResult> results(3);
   std::vector<std::thread> threads;
@@ -356,8 +361,10 @@ TEST(NetLoopbackChaos, MigrationSurvivesPermanentWorkerLoss) {
   // agents onto the survivors (MIGRATE/ADOPT), and the run still solves with
   // zero invariant violations — the handoff monitor checks nogood-count
   // conservation on every adoption, so violations == 0 is the conservation
-  // assertion. Drops + duplicates keep the solve slow enough that the kill
-  // and the dead-declaration window reliably land mid-run.
+  // assertion. Drops + duplicates keep the solve slow, and the kill comes
+  // early (50 ms after attaching): the frozen agents still hold near-initial
+  // values the survivors cannot solve around, so the dead declaration lands
+  // mid-run. (A kill at 150 ms sometimes let the survivors finish first.)
   net::InProcTransport transport;
   ServeConfig config;
   config.job = make_job(48, 81, 4);
@@ -380,7 +387,7 @@ TEST(NetLoopbackChaos, MigrationSurvivesPermanentWorkerLoss) {
   }
   threads.emplace_back([&transport, &results] {
     WorkerConfig victim = worker_config("migrate", 3);
-    victim.exit_after_ms = 150;
+    victim.exit_after_ms = 50;
     results[3] = net::run_worker(transport, victim);
   });
   const ServeResult result = net::serve(*listener, config);
@@ -427,10 +434,13 @@ TEST(NetLoopbackChaos, MigrationAndFailoverCompose) {
   config.migrate_after_dead = true;
   config.supervisor.suspect_after_ms = 150;
   config.supervisor.dead_after_ms = 300;
-  // Kill at 150 ms, dead declaration at ~450 ms, adoptions right after, halt
-  // at 600 ms: the coordinator dies with journaled reassignments on disk
-  // while the (larger, heavily dropped) solve is still in flight.
-  config.halt_after_ms = 600;
+  // Kill at 50 ms, dead declaration at ~350 ms, adoptions right after, halt
+  // at 400 ms: the coordinator dies with journaled reassignments on disk
+  // while the (larger, heavily dropped) solve is still in flight. The early
+  // kill leaves the victim's agents frozen near their initial values, which
+  // the survivors rarely solve around; with the kill at 150 ms and the halt
+  // at 600 ms the solve won the race in about one run in six.
+  config.halt_after_ms = 400;
 
   std::vector<WorkerResult> results(3);
   std::vector<std::thread> threads;
@@ -444,7 +454,7 @@ TEST(NetLoopbackChaos, MigrationAndFailoverCompose) {
   }
   threads.emplace_back([&transport, &results] {
     WorkerConfig victim = worker_config("migrate-failover", 2);
-    victim.exit_after_ms = 150;
+    victim.exit_after_ms = 50;
     results[2] = net::run_worker(transport, victim);
   });
 
@@ -453,7 +463,7 @@ TEST(NetLoopbackChaos, MigrationAndFailoverCompose) {
     auto listener = transport.listen("migrate-failover");
     first = net::serve(*listener, config);
   }
-  // The victim exits 150 ms after attaching (or at an earlier stop); join it
+  // The victim exits 50 ms after attaching (or at an earlier stop); join it
   // before its result is read, so the read is ordered after the write.
   threads[2].join();
   if (!first.halted || !results[2].killed || first.agent_migrations == 0) {

@@ -6,7 +6,8 @@
 #
 # Environment:
 #   BUILD_DIR  build directory        (default build-bench; $1 overrides)
-#   THREADS    experiment fan-out     (default 8; 0 = all cores)
+#   THREADS    experiment fan-out     (default 1, so the Table-2 wall
+#              fields do not depend on the core count; 0 = all cores)
 #   TRIALS     trials per table n     (default 4 — a smoke slice, not the paper)
 #   OUT        probe output           (default BENCH_core.json)
 #
@@ -20,7 +21,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BUILD_DIR=${1:-${BUILD_DIR:-build-bench}}
-THREADS=${THREADS:-8}
+THREADS=${THREADS:-1}
 TRIALS=${TRIALS:-4}
 OUT=${OUT:-BENCH_core.json}
 

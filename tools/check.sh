@@ -49,18 +49,22 @@ cmake -B "${prefix}-asan" -S . \
       -DDISCSP_BUILD_EXAMPLES=OFF >/dev/null
 cmake --build "${prefix}-asan" -j "${jobs}" --target discsp_tests
 
-echo "--- ASan+UBSan: wire + net-frame decode fuzz + corruption/partition chaos + store churn + DB sender slots ---"
+echo "--- ASan+UBSan: wire + net-frame decode fuzz + corruption/partition chaos + store churn + AWC classification + Mcs + DB sender slots ---"
 # The decoder fuzz tests feed adversarial frames straight into the parser;
 # NetFrame* does the same to the net control-frame decoder (bit flips,
 # random words, truncated prefixes of every kind) and walks the stats-word
 # decode, which indexes the counter table by a word count taken off the wire;
 # IncrementalView* churns the nogood store (add/remove/evict/compact against
-# a brute-force oracle). DbProtocol* and the DB duplication/reordering chaos
+# a brute-force oracle); AwcClassify* checks the arena classifier, which
+# indexes the literal arena and the flat view/priority arrays by store index
+# and variable id, against the weakest-variable oracle under the same churn;
+# Mcs* drives the subset search, whose resolvent masks shift by resolvent
+# position. DbProtocol* and the DB duplication/reordering chaos
 # test drive DbAgent's sender -> slot table, which is indexed by a sender id
 # taken off the wire (negative, past-the-table and non-neighbor senders).
 # ASan/UBSan turn any out-of-bounds read or signed overflow into a failure.
 if ! "${prefix}-asan/tests/discsp_tests" \
-    --gtest_filter='WireFormat*:ChannelGuardPolicy*:DcspDigest*:ReproBundle*:MonitorOracle*:PartitionSchedule*:PartitionChaos*:CorruptionChaos*:IncrementalView*:DbProtocol*:FaultChaos.DbSolvesUnderDuplicationAndReordering:NetFrame*'; then
+    --gtest_filter='WireFormat*:ChannelGuardPolicy*:DcspDigest*:ReproBundle*:MonitorOracle*:PartitionSchedule*:PartitionChaos*:CorruptionChaos*:IncrementalView*:AwcClassify*:Mcs*:DbProtocol*:FaultChaos.DbSolvesUnderDuplicationAndReordering:NetFrame*'; then
   echo "ASan leg failed." >&2
   exit 1
 fi
