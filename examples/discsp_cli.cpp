@@ -70,6 +70,19 @@ int cmd_gen(const Options& opts) {
     std::cerr << "gen: --out FILE is required\n";
     return 2;
   }
+  // load() picks the reader from the extension, so a file whose extension
+  // names the other format could never be read back.
+  const bool is_sat = kind == "sat3" || kind == "onesat";
+  if (kind != "coloring" && !is_sat) {
+    std::cerr << "gen: unknown kind '" << kind << "'\n";
+    return 2;
+  }
+  const std::string ext = is_sat ? ".cnf" : ".dcsp";
+  if (!ends_with(out, ext)) {
+    std::cerr << "gen: " << kind << " writes " << (is_sat ? "DIMACS" : "dcsp")
+              << ", so --out must end in " << ext << " (got '" << out << "')\n";
+    return 2;
+  }
 
   if (kind == "coloring") {
     const auto inst = gen::generate_coloring3(n, rng);
@@ -80,16 +93,13 @@ int cmd_gen(const Options& opts) {
     const auto inst = gen::generate_sat3(n, rng);
     sat::write_dimacs_file(out, inst.cnf, "planted-satisfiable 3SAT, m=4.3n");
     std::cout << "wrote " << out << " (" << inst.cnf.num_clauses() << " clauses)\n";
-  } else if (kind == "onesat") {
+  } else {  // onesat
     gen::OneSatParams params;
     params.n = n;
     const auto inst = gen::generate_onesat(params, rng);
     gen::save_onesat(inst, out);
     std::cout << "wrote " << out << " (" << inst.cnf.num_clauses()
               << " clauses, exactly one model)\n";
-  } else {
-    std::cerr << "gen: unknown kind '" << kind << "'\n";
-    return 2;
   }
   return 0;
 }

@@ -44,8 +44,9 @@ namespace discsp::awc {
 
 /// Simulation-level instrumentation shared by all agents of one run: tracks
 /// which nogoods have been generated anywhere before, yielding the paper's
-/// Table-4 "redundant generation" count. Thread-safe: in ThreadRuntime the
-/// agents generating nogoods run concurrently.
+/// Table-4 "redundant generation" count. Thread-safe, though each runtime
+/// drives one run's agents from one thread (a serve worker builds its own
+/// agents, and so its own log).
 class GenerationLog {
  public:
   /// Record a generation; returns true when `ng` was generated before.

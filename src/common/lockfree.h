@@ -1,4 +1,4 @@
-// Lock-free queues of the hot-path delivery layer.
+// Lock-free queue of the hot-path delivery layer.
 //
 // SpscRing — a fixed-capacity single-producer/single-consumer ring with
 // acquire/release indices. One side writes, the other reads; neither ever
@@ -6,12 +6,6 @@
 // (each Connection is driven by exactly one thread, per the transport
 // contract), falling back to a mutexed overflow queue only when a burst
 // outruns the ring.
-//
-// MpscQueue — a Vyukov-style multi-producer/single-consumer linked queue:
-// wait-free push (one exchange + one store), lock-free pop. Per-producer
-// FIFO is preserved, which is the only ordering the thread runtime's
-// mailboxes relied on from the mutexed deque they replace (cross-producer
-// interleaving was always scheduler-dependent).
 #pragma once
 
 #include <atomic>
@@ -90,72 +84,6 @@ class SpscRing {
   std::size_t mask_ = 0;
   alignas(64) std::atomic<std::uint64_t> head_{0};  // producer index
   alignas(64) std::atomic<std::uint64_t> tail_{0};  // consumer index
-};
-
-template <typename T>
-class MpscQueue {
- public:
-  MpscQueue() {
-    Node* stub = new Node;
-    head_.store(stub, std::memory_order_relaxed);
-    tail_ = stub;
-  }
-
-  ~MpscQueue() {
-    Node* node = tail_;
-    while (node != nullptr) {
-      Node* next = node->next.load(std::memory_order_relaxed);
-      delete node;
-      node = next;
-    }
-  }
-
-  MpscQueue(const MpscQueue&) = delete;
-  MpscQueue& operator=(const MpscQueue&) = delete;
-
-  /// Any thread. Wait-free: one exchange publishes the node.
-  void push(T value) {
-    Node* node = new Node;
-    node->value = std::move(value);
-    Node* prev = head_.exchange(node, std::memory_order_acq_rel);
-    prev->next.store(node, std::memory_order_release);
-  }
-
-  /// Consumer thread only. False when empty (or when a producer is mid-push
-  /// between its exchange and next-link — the caller's wait loop retries).
-  bool try_pop(T& out) {
-    Node* tail = tail_;
-    Node* next = tail->next.load(std::memory_order_acquire);
-    if (next == nullptr) return false;
-    out = std::move(next->value);
-    tail_ = next;
-    delete tail;
-    return true;
-  }
-
-  /// Consumer thread only (or after every producer has quiesced).
-  bool consumer_empty() const {
-    return tail_->next.load(std::memory_order_acquire) == nullptr;
-  }
-
-  /// Walk the unconsumed entries. Only safe once no thread pushes or pops
-  /// (the thread runtime calls this after joining its agent threads).
-  template <typename Fn>
-  void for_each_unconsumed(Fn&& fn) const {
-    for (Node* node = tail_->next.load(std::memory_order_acquire);
-         node != nullptr; node = node->next.load(std::memory_order_acquire)) {
-      fn(node->value);
-    }
-  }
-
- private:
-  struct Node {
-    std::atomic<Node*> next{nullptr};
-    T value{};
-  };
-
-  alignas(64) std::atomic<Node*> head_;  // producers exchange here
-  alignas(64) Node* tail_;               // consumer-private
 };
 
 }  // namespace discsp

@@ -43,8 +43,7 @@ class Coordinator {
         digest_(jobspec_digest(config.job)),
         limits_(sim::wire_limits_for(problem_, num_vars_)),
         supervisor_(config.supervisor, config.job.num_workers),
-        monitor_(monitor_config_for(config.job.bundle), num_vars_,
-                 /*concurrent=*/false),
+        monitor_(monitor_config_for(config.job.bundle), num_vars_),
         budget_(config.deadline_ms),
         slots_(static_cast<std::size_t>(config.job.num_workers)),
         values_(static_cast<std::size_t>(num_vars_), kNoValue),

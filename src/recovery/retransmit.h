@@ -12,7 +12,8 @@
 // or late — the retry is counted as a detector false positive.
 //
 // The buffer is engine-agnostic: AsyncEngine interprets times as virtual
-// ticks, ThreadRuntime as microseconds. All entry points are thread-safe.
+// ticks, the serve worker as milliseconds. Each run drives its buffer from
+// one thread; the entry points stay thread-safe all the same.
 // The heartbeat stays available as a low-rate fallback for messages the
 // detector gave up on (max_attempts exceeded).
 #pragma once
@@ -33,7 +34,7 @@ namespace discsp::recovery {
 
 struct RetransmitConfig {
   /// Base retransmission timeout; 0 disables the whole reliability layer.
-  /// Virtual-time units in AsyncEngine, microseconds in ThreadRuntime.
+  /// Virtual-time units in AsyncEngine, milliseconds on the serve worker.
   std::int64_t ack_timeout = 0;
   /// Exponential backoff factor applied per retry (>= 1).
   double backoff = 2.0;

@@ -1,6 +1,7 @@
 #include "sat/dimacs.h"
 
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -32,6 +33,10 @@ Cnf read_dimacs(std::istream& in) {
       if (!(hdr >> p >> fmt >> nv >> nc) || fmt != "cnf" || nv < 0 || nc < 0) {
         fail(lineno, "bad problem line '" + line + "'");
       }
+      constexpr long kMaxCount = std::numeric_limits<int>::max();
+      if (nv > kMaxCount || nc > kMaxCount) {
+        fail(lineno, "count in '" + line + "' exceeds " + std::to_string(kMaxCount));
+      }
       if (header_seen) fail(lineno, "duplicate problem line");
       header_seen = true;
       cnf.set_num_vars(static_cast<int>(nv));
@@ -46,9 +51,11 @@ Cnf read_dimacs(std::istream& in) {
         cnf.add_clause(Clause(std::move(pending)));
         pending.clear();
       } else {
-        const long v = raw > 0 ? raw : -raw;
-        if (v > cnf.num_vars()) fail(lineno, "literal " + std::to_string(raw) + " out of range");
-        pending.emplace_back(static_cast<VarId>(v - 1), raw > 0);
+        // Range-check before negating: -LONG_MIN overflows.
+        if (raw > cnf.num_vars() || raw < -static_cast<long>(cnf.num_vars())) {
+          fail(lineno, "literal " + std::to_string(raw) + " out of range");
+        }
+        pending.emplace_back(static_cast<VarId>((raw > 0 ? raw : -raw) - 1), raw > 0);
       }
     }
     if (!body.eof()) fail(lineno, "non-numeric token in clause data");

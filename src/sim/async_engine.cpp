@@ -66,7 +66,7 @@ AsyncEngine::AsyncEngine(const Problem& problem, std::vector<std::unique_ptr<Age
   }
   if (config_.monitor.enabled) {
     monitor_ = std::make_unique<InvariantMonitor>(
-        config_.monitor, static_cast<int>(agents_.size()), /*concurrent=*/false);
+        config_.monitor, static_cast<int>(agents_.size()));
   }
 }
 

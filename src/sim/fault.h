@@ -7,8 +7,8 @@
 // duplicated, allowed to overtake earlier traffic on its channel (relaxing
 // per-channel FIFO), hit by a delay spike, or corrupted on the wire, and
 // whether a delivery first crash-restarts its receiver (losing volatile
-// state). Both AsyncEngine and ThreadRuntime consult the same plan through
-// the same two hooks, so the fault taxonomy and its counters are
+// state). AsyncEngine and the serve worker consult the same plan through the
+// same two hooks, so the fault taxonomy and its counters are
 // engine-independent.
 //
 // On top of the independent per-message faults, a PartitionSchedule injects
@@ -22,10 +22,11 @@
 // seeded from (config.seed, from, to), and every agent owns a crash stream
 // seeded from (config.seed, agent). The k-th send on a channel therefore
 // meets the same fate for a given seed, regardless of how sends on other
-// channels interleave — in particular regardless of thread scheduling in
-// ThreadRuntime. Partition membership is a pure function of
-// (seed, episode index, agent) and consumes no stream state, so an empty
-// schedule leaves every stream bit-identical to the pre-partition layer.
+// channels interleave — in particular regardless of how a serve worker's
+// timers and socket reads order them. Partition membership is a pure
+// function of (seed, episode index, agent) and consumes no stream state, so
+// an empty schedule leaves every stream bit-identical to the pre-partition
+// layer.
 // The corruption draw is likewise only taken when corrupt_rate > 0, so
 // corruption-free configs keep their historical streams. See
 // docs/FAULT_MODEL.md for the full model.
@@ -84,7 +85,7 @@ struct FaultConfig {
   /// Probability a sent message suffers an extra `delay_spike` of latency.
   double delay_spike_rate = 0.0;
   /// Extra latency on a spike: virtual-time units in AsyncEngine,
-  /// microseconds in ThreadRuntime.
+  /// milliseconds on the serve worker.
   std::int64_t delay_spike = 50;
   /// Probability a sent message is corrupted on the wire: its serialized
   /// frame is mutated (bit flip, truncation, or an out-of-range field
@@ -104,12 +105,13 @@ struct FaultConfig {
   /// storms from starving progress.
   int max_crashes_per_agent = 3;
   /// Anti-entropy heartbeat period (0 disables refresh): virtual-time units
-  /// in AsyncEngine, milliseconds in ThreadRuntime. On each beat every agent
+  /// in AsyncEngine, milliseconds on the serve worker. On each beat every agent
   /// re-announces state that repairs dropped messages (Agent::on_heartbeat).
   std::int64_t refresh_interval = 50;
 
   // Correlated partition episodes (PartitionSchedule). Times are
-  // virtual-time units in AsyncEngine, microseconds in ThreadRuntime.
+  // virtual-time units in AsyncEngine, milliseconds since job load on the
+  // serve worker.
   /// Time between episode starts (0 disables partitions).
   std::int64_t partition_interval = 0;
   /// Length of each severed window; must not exceed the interval.

@@ -183,7 +183,8 @@ void corrupt_frame(WireFrame& frame, std::uint64_t seed);
 /// Receiver-side defense policy: counts malformed frames per channel and
 /// quarantines a channel whose count exceeds `budget` within one window;
 /// after `duration` the channel is readmitted and its budget resets.
-/// Thread-safe (ThreadRuntime agents record concurrently).
+/// Thread-safe, though each runtime (AsyncEngine, a serve worker) drives its
+/// guard from one thread.
 class ChannelGuard {
  public:
   /// `budget` 0 = count malformed frames but never quarantine.

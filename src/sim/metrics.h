@@ -40,7 +40,7 @@ struct RunMetrics {
   bool solved = false;
   bool insoluble = false;     // the empty nogood was derived
   bool hit_cycle_cap = false; // trial cut off at the cycle/activation bound
-  /// Trial cut off at a wall-clock deadline (ThreadRuntime) — distinct from
+  /// Trial cut off at a wall-clock deadline (serve) — distinct from
   /// hit_cycle_cap so consumers can tell budget exhaustion from slowness.
   bool timed_out = false;
 

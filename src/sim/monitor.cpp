@@ -10,7 +10,6 @@ const char* to_string(InvariantKind kind) {
     case InvariantKind::kSolutionExcluded: return "solution-excluded";
     case InvariantKind::kFalseInsolubility: return "false-insolubility";
     case InvariantKind::kConservation: return "conservation";
-    case InvariantKind::kCreditLoss: return "credit-loss";
     case InvariantKind::kForgedSeq: return "forged-seq";
     case InvariantKind::kStall: return "stall";
     case InvariantKind::kMigrationLoss: return "migration-loss";
@@ -18,10 +17,8 @@ const char* to_string(InvariantKind kind) {
   return "unknown";
 }
 
-InvariantMonitor::InvariantMonitor(MonitorConfig config, int num_agents,
-                                   bool concurrent)
-    : config_(std::move(config)), num_agents_(num_agents),
-      concurrent_(concurrent) {
+InvariantMonitor::InvariantMonitor(MonitorConfig config, int num_agents)
+    : config_(std::move(config)), num_agents_(num_agents) {
   if (num_agents <= 0) {
     throw std::invalid_argument("invariant monitor needs agents");
   }
@@ -72,7 +69,6 @@ void InvariantMonitor::track_send_seq(AgentId from,
 
 void InvariantMonitor::on_send(AgentId from, const MessagePayload& payload,
                                std::int64_t now) {
-  HookLock lock(mutex_, concurrent_);
   note_check();
   track_send_seq(from, payload);
   if (const auto* ng = std::get_if<NogoodMessage>(&payload)) {
@@ -83,7 +79,6 @@ void InvariantMonitor::on_send(AgentId from, const MessagePayload& payload,
 void InvariantMonitor::on_deliver(AgentId from, AgentId to,
                                   const MessagePayload& payload,
                                   std::int64_t now) {
-  HookLock lock(mutex_, concurrent_);
   note_check();
   std::uint64_t seq = 0;
   if (const auto* ok = std::get_if<OkMessage>(&payload)) seq = ok->seq;
@@ -114,7 +109,6 @@ void InvariantMonitor::on_deliver(AgentId from, AgentId to,
 }
 
 void InvariantMonitor::on_insoluble(AgentId agent, std::int64_t now) {
-  HookLock lock(mutex_, concurrent_);
   note_check();
   if (!screening() || insoluble_reported_) return;
   insoluble_reported_ = true;
@@ -125,13 +119,11 @@ void InvariantMonitor::on_insoluble(AgentId agent, std::int64_t now) {
 }
 
 void InvariantMonitor::on_progress(std::int64_t now) {
-  HookLock lock(mutex_, concurrent_);
   if (now > last_progress_) last_progress_ = now;
 }
 
 void InvariantMonitor::on_activation(std::int64_t now) {
   if (config_.stall_window <= 0) return;
-  HookLock lock(mutex_, concurrent_);
   note_check();
   if (now - last_progress_ >= config_.stall_window) {
     ++summary_.stalls;
@@ -145,7 +137,6 @@ void InvariantMonitor::check_conservation(std::uint64_t scheduled,
                                           std::uint64_t delivered,
                                           std::uint64_t queued,
                                           std::int64_t now) {
-  HookLock lock(mutex_, concurrent_);
   note_check();
   if (scheduled != delivered + queued) {
     violate(InvariantKind::kConservation,
@@ -156,31 +147,8 @@ void InvariantMonitor::check_conservation(std::uint64_t scheduled,
   }
 }
 
-void InvariantMonitor::check_credit(double recovered, int expected,
-                                    bool terminated,
-                                    std::uint64_t credited_backlog,
-                                    std::int64_t now) {
-  HookLock lock(mutex_, concurrent_);
-  note_check();
-  // Credit is conserved exactly (binary fractions), so any over-recovery is
-  // a double-deposit bug, not rounding.
-  if (recovered > static_cast<double>(expected) + 1e-9) {
-    violate(InvariantKind::kCreditLoss,
-            "ledger recovered " + std::to_string(recovered) + " units for " +
-                std::to_string(expected) + " agents",
-            now);
-  }
-  if (terminated && credited_backlog > 0) {
-    violate(InvariantKind::kCreditLoss,
-            "ledger terminated while " + std::to_string(credited_backlog) +
-                " credited letters remain unprocessed",
-            now);
-  }
-}
-
 void InvariantMonitor::check_handoff(AgentId agent, std::uint64_t expected,
                                      std::uint64_t imported, std::int64_t now) {
-  HookLock lock(mutex_, concurrent_);
   note_check();
   if (imported < expected) {
     violate(InvariantKind::kMigrationLoss,
@@ -192,7 +160,6 @@ void InvariantMonitor::check_handoff(AgentId agent, std::uint64_t expected,
 }
 
 MonitorSummary InvariantMonitor::summary() const {
-  HookLock lock(mutex_, concurrent_);
   return summary_;
 }
 

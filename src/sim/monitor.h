@@ -2,18 +2,17 @@
 //
 // Chaos runs are only as trustworthy as the oracle that judges them: a run
 // that "solves" after corrupting a nogood into ruling out the real solution,
-// or that "terminates" after losing credit, is a silent soundness bug. The
-// InvariantMonitor rides along inside AsyncEngine / ThreadRuntime and checks,
-// while the run executes:
+// or that "terminates" with messages unaccounted for, is a silent soundness
+// bug. The InvariantMonitor rides along inside AsyncEngine and the serve
+// coordinator and checks, while the run executes:
 //
 //  (a) No false insolubility — when the planted solution of the instance is
 //      known, no learned nogood may rule it out, and no agent may report
 //      insolubility at all (a soluble instance must never be "proved"
 //      insoluble, no matter what faults were injected).
-//  (b) Credit / message conservation — AsyncEngine: every scheduled event is
-//      either delivered or still queued at run end; ThreadRuntime: Mattern
-//      credit must never over-recover, and a terminated ledger must not
-//      coexist with unprocessed credited letters.
+//  (b) Message conservation — AsyncEngine: every scheduled event is either
+//      delivered or still queued at run end; serve: an adopting worker
+//      reports at least the learned state its migration capsule shipped.
 //  (c) Sequence sanity after validation — no delivered ok?/improve may carry
 //      a seq its sender never issued (a forged or corrupted seq that slipped
 //      past the checksum); genuine regressions from reordering are counted
@@ -25,13 +24,12 @@
 //
 // Every breach is recorded (bounded) and counted; runners turn a nonzero
 // violation count into a repro bundle (analysis/repro.h) that replays the
-// exact run. Hooks are thread-safe in concurrent mode (ThreadRuntime) and
-// lock-free in single-threaded mode (AsyncEngine), and they draw no
-// randomness, so enabling the monitor never perturbs a run's outcome.
+// exact run. Hooks take no lock: each monitor is driven by one thread (the
+// AsyncEngine loop, or the serve coordinator loop). They draw no randomness,
+// so enabling the monitor never perturbs a run's outcome.
 #pragma once
 
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -47,7 +45,8 @@ struct MonitorConfig {
   /// insolubility cannot be checked" and nogood screening is skipped.
   FullAssignment planted;
   /// No-progress window for the liveness watchdog (engine time units:
-  /// virtual time in AsyncEngine, microseconds in ThreadRuntime). 0 = off.
+  /// virtual time in AsyncEngine, milliseconds on the serve coordinator).
+  /// 0 = off.
   std::int64_t stall_window = 0;
   /// Cap on recorded violation reports (counters keep exact totals).
   std::size_t max_reports = 16;
@@ -57,7 +56,6 @@ enum class InvariantKind {
   kSolutionExcluded,   ///< a learned nogood rules out the planted solution
   kFalseInsolubility,  ///< insolubility reported for a witnessed instance
   kConservation,       ///< scheduled != delivered + queued (AsyncEngine)
-  kCreditLoss,         ///< credit over-recovered or terminated-with-backlog
   kForgedSeq,          ///< delivered seq its sender never issued
   kStall,              ///< no value change for a full stall window
   kMigrationLoss,      ///< learned state lost across a shard-migration handoff
@@ -82,11 +80,9 @@ struct MonitorSummary {
 
 class InvariantMonitor {
  public:
-  /// `num_agents` sizes the per-sender seq tables. `concurrent` selects
-  /// whether hooks take the internal mutex: ThreadRuntime needs it, the
-  /// single-threaded AsyncEngine passes false and skips the locking cost
-  /// (the hooks are then NOT thread-safe).
-  InvariantMonitor(MonitorConfig config, int num_agents, bool concurrent = true);
+  /// `num_agents` sizes the per-sender seq tables. Not thread-safe: the
+  /// owning runtime calls every hook from one thread.
+  InvariantMonitor(MonitorConfig config, int num_agents);
 
   const MonitorConfig& config() const { return config_; }
   bool screening() const { return !config_.planted.empty(); }
@@ -115,13 +111,6 @@ class InvariantMonitor {
   void check_conservation(std::uint64_t scheduled, std::uint64_t delivered,
                           std::uint64_t queued, std::int64_t now);
 
-  /// ThreadRuntime credit conservation at run end (after all threads have
-  /// joined): `recovered` credit must never exceed `expected` whole units,
-  /// and a terminated ledger must not coexist with unprocessed credited
-  /// letters.
-  void check_credit(double recovered, int expected, bool terminated,
-                    std::uint64_t credited_backlog, std::int64_t now);
-
   /// Shard-migration conservation identity: an adopting worker must report
   /// at least the learned count the coordinator shipped in the capsule
   /// (`expected`). More is legal — the agent keeps learning between export
@@ -132,22 +121,6 @@ class InvariantMonitor {
   MonitorSummary summary() const;
 
  private:
-  /// Lock-if-concurrent RAII guard for the hooks.
-  class HookLock {
-   public:
-    HookLock(std::mutex& mutex, bool engage) : mutex_(engage ? &mutex : nullptr) {
-      if (mutex_ != nullptr) mutex_->lock();
-    }
-    ~HookLock() {
-      if (mutex_ != nullptr) mutex_->unlock();
-    }
-    HookLock(const HookLock&) = delete;
-    HookLock& operator=(const HookLock&) = delete;
-
-   private:
-    std::mutex* mutex_;
-  };
-
   void note_check();
   void violate(InvariantKind kind, std::string detail, std::int64_t now);
   void screen_nogood(AgentId from, const Nogood& nogood, std::int64_t now);
@@ -155,9 +128,7 @@ class InvariantMonitor {
 
   MonitorConfig config_;
   int num_agents_;
-  bool concurrent_;
 
-  mutable std::mutex mutex_;
   MonitorSummary summary_;
   /// Highest seq each sender has issued in an ok?/improve (0 = none yet).
   std::vector<std::uint64_t> max_sent_seq_;

@@ -1,6 +1,7 @@
-// Asynchronous engines: the same AWC agents must solve under random message
-// delays (FIFO per channel) and on the thread runtime — the paper's §5
-// claim that the algorithms are asynchronous-system-ready.
+// Asynchronous engine: the same AWC and DB agents must solve under random
+// message delays (FIFO per channel) — the paper's §5 claim that the
+// algorithms are asynchronous-system-ready. Real-thread runs of the same
+// agents are the serve tests (test_net_loopback.cpp).
 #include <gtest/gtest.h>
 
 #include "awc/awc_solver.h"
@@ -9,7 +10,6 @@
 #include "gen/coloring_gen.h"
 #include "learning/resolvent.h"
 #include "sim/async_engine.h"
-#include "sim/thread_runtime.h"
 
 namespace discsp {
 namespace {
@@ -93,32 +93,6 @@ TEST(AsyncEngine, RejectsBadDelayConfig) {
                std::invalid_argument);
 }
 
-TEST(ThreadRuntime, AwcSolvesOnRealThreads) {
-  Fixture f(16, 23);
-  awc::AwcSolver solver(f.dp, learning::ResolventLearning{});
-  Rng rng(10);
-  const auto initial = solver.random_initial(rng);
-
-  sim::ThreadRuntime runtime(f.dp.problem(), solver.make_agents(initial, rng.derive(1)));
-  const auto result = runtime.run();
-  ASSERT_TRUE(result.metrics.solved);
-  EXPECT_TRUE(validate_solution(f.instance.problem, result.assignment).ok);
-  EXPECT_GT(result.metrics.messages, 0u);
-}
-
-TEST(ThreadRuntime, SolvedInstanceTerminatesQuickly) {
-  // Pre-solved assignment: the runtime should detect quiescence + solution
-  // without any message traffic beyond the initial broadcast.
-  Fixture f(10, 29);
-  awc::AwcSolver solver(f.dp, learning::ResolventLearning{});
-  FullAssignment initial = f.instance.planted;
-
-  sim::ThreadRuntime runtime(f.dp.problem(), solver.make_agents(initial, Rng(1)));
-  const auto result = runtime.run();
-  EXPECT_TRUE(result.metrics.solved);
-  EXPECT_EQ(result.assignment, initial);
-}
-
 TEST(AsyncEngine, AwcRefutesInsolubleUnderDelays) {
   // K4 with 3 colors: the empty nogood must be derived even with messages
   // arriving out of lockstep.
@@ -158,44 +132,6 @@ TEST(AsyncEngine, LargerDelaySpreadStillSolves) {
     ASSERT_TRUE(result.metrics.solved) << "max_delay=" << max_delay;
     EXPECT_TRUE(validate_solution(f.instance.problem, result.assignment).ok);
   }
-}
-
-TEST(ThreadRuntime, DeliveryJitterStillSolves) {
-  Fixture f(12, 47);
-  awc::AwcSolver solver(f.dp, learning::ResolventLearning{});
-  Rng rng(53);
-  const auto initial = solver.random_initial(rng);
-  sim::ThreadRuntimeConfig config;
-  config.delivery_jitter = std::chrono::microseconds(50);
-  sim::ThreadRuntime runtime(f.dp.problem(), solver.make_agents(initial, rng.derive(1)),
-                             config);
-  const auto result = runtime.run();
-  ASSERT_TRUE(result.metrics.solved);
-  EXPECT_TRUE(validate_solution(f.instance.problem, result.assignment).ok);
-}
-
-TEST(ThreadRuntime, TimeoutReported) {
-  // K4 with 3 colors and no learning never terminates; the runtime must
-  // stop at its deadline and say so.
-  Problem p;
-  p.add_variables(4, 3);
-  for (VarId u = 0; u < 4; ++u) {
-    for (VarId v = static_cast<VarId>(u + 1); v < 4; ++v) {
-      for (Value c = 0; c < 3; ++c) p.add_nogood(Nogood{{u, c}, {v, c}});
-    }
-  }
-  const auto dp = DistributedProblem::one_var_per_agent(p);
-  awc::AwcSolver solver(dp, learning::NoLearning{});
-  Rng rng(31);
-  const auto initial = solver.random_initial(rng);
-
-  sim::ThreadRuntimeConfig config;
-  config.timeout = std::chrono::milliseconds(300);
-  sim::ThreadRuntime runtime(p, solver.make_agents(initial, rng.derive(1)), config);
-  const auto result = runtime.run();
-  EXPECT_FALSE(result.metrics.solved);
-  EXPECT_TRUE(result.metrics.timed_out) << "wall-clock deadline, not a cycle cap";
-  EXPECT_FALSE(result.metrics.hit_cycle_cap);
 }
 
 }  // namespace

@@ -14,7 +14,6 @@
 //  - the ISSUE acceptance bar end to end: partitions + 1% corruption + 10%
 //    drop + 5% duplication, AWC still solves >= 95% with zero monitor
 //    violations, and corrupted frames show up as rejected malformed frames;
-//  - ThreadRuntime rejects corrupted frames the same way (credit intact).
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -28,7 +27,6 @@
 #include "sim/async_engine.h"
 #include "sim/fault.h"
 #include "sim/message.h"
-#include "sim/thread_runtime.h"
 
 namespace discsp {
 namespace {
@@ -347,35 +345,6 @@ TEST(CorruptionChaos, ZeroCorruptRateKeepsHistoricalStreams) {
   EXPECT_EQ(a.assignment, b.assignment);
   EXPECT_EQ(b.metrics.faults.corrupted, 0u);
   EXPECT_EQ(b.metrics.malformed_frames, 0u);
-}
-
-TEST(CorruptionChaos, ThreadRuntimeRejectsCorruptedFrames) {
-  // The wall-clock runtime shares the wire layer: corrupted frames must be
-  // rejected before agent state changes, retransmit repairs them, and the
-  // run still solves with credit conservation intact under the monitor.
-  Rng rng(135);
-  const auto instance = gen::generate_coloring3(10, rng);
-  const auto dp = gen::distribute(instance);
-  awc::AwcSolver solver(dp, learning::ResolventLearning{});
-  const FullAssignment initial = solver.random_initial(rng);
-
-  sim::ThreadRuntimeConfig config;
-  config.use_credit_termination = true;
-  config.faults.corrupt_rate = 0.05;
-  config.faults.refresh_interval = 5;  // ms
-  config.faults.seed = 99;
-  config.retransmit.ack_timeout = 2000;  // us
-  config.monitor.enabled = true;
-  config.monitor.planted = instance.planted;
-  sim::ThreadRuntime runtime(dp.problem(), solver.make_agents(initial, rng.derive(1)),
-                             config);
-  const sim::RunResult result = runtime.run();
-  ASSERT_TRUE(result.metrics.solved);
-  EXPECT_TRUE(validate_solution(instance.problem, result.assignment).ok);
-  EXPECT_EQ(result.metrics.monitor.violations, 0u);
-  if (result.metrics.faults.corrupted > 0) {
-    EXPECT_GT(result.metrics.malformed_frames, 0u);
-  }
 }
 
 }  // namespace

@@ -22,7 +22,6 @@
 #include "gen/coloring_gen.h"
 #include "learning/resolvent.h"
 #include "sim/async_engine.h"
-#include "sim/thread_runtime.h"
 
 namespace discsp {
 namespace {
@@ -177,48 +176,6 @@ TEST(FaultChaos, DbSolvesUnderDuplicationAndReordering) {
   ASSERT_TRUE(result.metrics.solved);
   EXPECT_TRUE(validate_solution(instance.problem, result.assignment).ok);
   EXPECT_GT(result.metrics.faults.duplicated, 0u);
-}
-
-TEST(FaultChaos, ThreadRuntimeCreditTerminationUnderDuplication) {
-  // Duplication only, refresh disabled: every duplicate must carry its own
-  // credit share, and Mattern recovery must still terminate cleanly with the
-  // full credit returned.
-  Rng rng(88);
-  const auto instance = gen::generate_coloring3(10, rng);
-  const auto dp = gen::distribute(instance);
-  awc::AwcSolver solver(dp, learning::ResolventLearning{});
-  const FullAssignment initial = solver.random_initial(rng);
-
-  sim::ThreadRuntimeConfig config;
-  config.use_credit_termination = true;
-  config.faults.duplicate_rate = 0.25;
-  config.faults.refresh_interval = 0;  // classic quiescence path
-  config.faults.seed = 42;
-  sim::ThreadRuntime runtime(dp.problem(), solver.make_agents(initial, rng.derive(1)),
-                             config);
-  const sim::RunResult result = runtime.run();
-  ASSERT_TRUE(result.metrics.solved);
-  EXPECT_TRUE(validate_solution(instance.problem, result.assignment).ok);
-  EXPECT_TRUE(runtime.credit_fully_recovered());
-  EXPECT_GT(result.metrics.faults.duplicated, 0u);
-}
-
-TEST(FaultChaos, ThreadRuntimeSolvesUnderDrops) {
-  Rng rng(99);
-  const auto instance = gen::generate_coloring3(10, rng);
-  const auto dp = gen::distribute(instance);
-  awc::AwcSolver solver(dp, learning::ResolventLearning{});
-  const FullAssignment initial = solver.random_initial(rng);
-
-  sim::ThreadRuntimeConfig config;
-  config.faults.drop_rate = 0.1;
-  config.faults.refresh_interval = 20;  // ms
-  config.faults.seed = 7;
-  sim::ThreadRuntime runtime(dp.problem(), solver.make_agents(initial, rng.derive(1)),
-                             config);
-  const sim::RunResult result = runtime.run();
-  ASSERT_TRUE(result.metrics.solved);
-  EXPECT_TRUE(validate_solution(instance.problem, result.assignment).ok);
 }
 
 TEST(FaultChaos, DisabledFaultConfigIsBitIdentical) {

@@ -37,8 +37,9 @@ TEST(FaultPlan, ChannelStreamsAreDeterministic) {
 
 TEST(FaultPlan, ChannelStreamsAreIndependentOfInterleaving) {
   // The fate of the k-th send on (0, 1) must not depend on traffic between
-  // other agent pairs — this is what makes ThreadRuntime fault runs
-  // reproducible despite scheduling nondeterminism.
+  // other agent pairs — this is what fixes the fate of a channel's k-th
+  // send on a serve worker however its timers and socket reads interleave
+  // the channels.
   FaultPlan quiet(lossy_config(), 4);
   FaultPlan busy(lossy_config(), 4);
   std::vector<ChannelVerdict> expected;

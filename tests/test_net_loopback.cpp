@@ -6,8 +6,10 @@
 //    solves identically;
 //  - a deadline-bounded run degrades gracefully: kDeadline, timed_out set,
 //    and a well-formed (full-size) partial assignment with merged metrics;
-//  - chaos: under drop + duplication the run still solves and validates
-//    with zero monitor violations (ISSUE acceptance bar);
+//  - one run per fault kind (drop + duplication, reorder, delay spike,
+//    crash, amnesia, partition, corruption) and from an already-solved
+//    start: each solves and validates with zero monitor violations, and
+//    its own fault counter shows the fault was injected;
 //  - a worker killed mid-solve (exit_after_ms, the SIGKILL analogue) is
 //    replaced by a fresh attach, and the run still solves;
 //  - a *coordinator* killed mid-solve (halt_after_ms) is restarted with
@@ -27,6 +29,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -38,6 +41,7 @@
 #include "net/tcp_transport.h"
 #include "net/transport.h"
 #include "net/worker.h"
+#include "sim/fault.h"
 
 namespace discsp {
 namespace {
@@ -179,26 +183,103 @@ TEST(NetLoopback, DeadlineDegradesToWellFormedPartial) {
   EXPECT_EQ(result.run.metrics.monitor.violations, 0u);
 }
 
-TEST(NetLoopbackChaos, DropAndDuplicationStillSolves) {
+/// One real-thread serve run per fault kind: `configure` switches a single
+/// kind on for the standard job, and `fired` names the FaultSummary
+/// counters that prove it was injected (none for the solved start).
+struct FaultTwin {
+  const char* name;
+  void (*configure)(JobSpec&);
+  std::vector<std::uint64_t sim::FaultSummary::*> fired;
+};
+
+void PrintTo(const FaultTwin& twin, std::ostream* os) { *os << twin.name; }
+
+const FaultTwin kFaultTwins[] = {
+    {"DropAndDuplication",
+     [](JobSpec& spec) {
+       spec.bundle.faults.drop_rate = 0.10;
+       spec.bundle.faults.duplicate_rate = 0.05;
+     },
+     {&sim::FaultSummary::dropped, &sim::FaultSummary::duplicated}},
+    {"Reorder",
+     [](JobSpec& spec) {
+       // A reordered copy skips the spike delay, so spikes give it held-back
+       // traffic to overtake.
+       spec.bundle.faults.reorder_rate = 0.20;
+       spec.bundle.faults.delay_spike_rate = 0.10;
+       spec.bundle.faults.delay_spike = 5;  // ms
+     },
+     {&sim::FaultSummary::reordered}},
+    {"DelaySpike",
+     [](JobSpec& spec) {
+       spec.bundle.faults.delay_spike_rate = 0.10;
+       spec.bundle.faults.delay_spike = 5;  // ms
+     },
+     {&sim::FaultSummary::delay_spikes}},
+    {"Crash",
+     [](JobSpec& spec) { spec.bundle.faults.crash_rate = 0.02; },
+     {&sim::FaultSummary::crashes}},
+    {"Amnesia",
+     [](JobSpec& spec) {
+       spec.bundle.faults.amnesia_rate = 0.02;
+       spec.bundle.journal = true;
+       spec.bundle.checkpoint_interval = 16;
+     },
+     {&sim::FaultSummary::amnesia}},
+    {"Partition",
+     [](JobSpec& spec) {
+       // Episode 0 covers [0, 20) ms of each worker's clock, so the initial
+       // ok? broadcast already meets the cut.
+       spec.bundle.faults.partition_interval = 60;  // ms
+       spec.bundle.faults.partition_duration = 20;  // ms
+       spec.bundle.faults.partition_groups = 2;
+     },
+     {&sim::FaultSummary::partition_drops}},
+    {"Corruption",
+     [](JobSpec& spec) { spec.bundle.faults.corrupt_rate = 0.05; },
+     {&sim::FaultSummary::corrupted}},
+    {"AlreadySolved",
+     [](JobSpec& spec) { spec.bundle.initial = spec.bundle.planted; },
+     {}},
+};
+
+class ServeFaultTwin : public ::testing::TestWithParam<FaultTwin> {};
+
+TEST_P(ServeFaultTwin, Solves) {
+  const FaultTwin& twin = GetParam();
   net::InProcTransport transport;
   ServeConfig config;
   config.job = make_job(24, 41, 3);
-  config.job.bundle.faults.drop_rate = 0.10;
-  config.job.bundle.faults.duplicate_rate = 0.05;
   config.job.bundle.faults.refresh_interval = 25;  // ms heartbeat cadence
+  twin.configure(config.job);
   config.deadline_ms = 60000;
 
   std::vector<WorkerConfig> workers;
-  for (int i = 0; i < 3; ++i) workers.push_back(worker_config("chaos", i));
-  const ServeResult result = run_loopback(transport, "chaos", config, workers);
+  for (int i = 0; i < 3; ++i) workers.push_back(worker_config(twin.name, i));
+  const ServeResult result = run_loopback(transport, twin.name, config, workers);
 
   ASSERT_TRUE(result.error.empty()) << result.error;
   EXPECT_EQ(result.reason, StopReason::kSolved);
   EXPECT_TRUE(config.job.bundle.instance.problem().is_solution(
       result.run.assignment));
   EXPECT_EQ(result.run.metrics.monitor.violations, 0u);
-  EXPECT_GT(result.run.metrics.faults.dropped, 0u);
+  const sim::FaultSummary& faults = result.run.metrics.faults;
+  for (const auto counter : twin.fired) {
+    EXPECT_GT(faults.*counter, 0u);
+  }
+  if (faults.corrupted > 0) {
+    EXPECT_GT(result.run.metrics.malformed_frames, 0u);
+  }
+  if (twin.fired.empty()) {
+    EXPECT_EQ(result.run.assignment, config.job.bundle.initial);
+  }
 }
+
+INSTANTIATE_TEST_SUITE_P(NetLoopbackChaos, ServeFaultTwin,
+                         ::testing::ValuesIn(kFaultTwins),
+                         [](const ::testing::TestParamInfo<FaultTwin>& info) {
+                           return std::string(info.param.name);
+                         });
 
 TEST(NetLoopbackChaos, KilledWorkerIsReplacedAndRunSolves) {
   // Worker 2 vanishes without a STOP handshake (the in-proc SIGKILL

@@ -29,7 +29,6 @@
 #include "learning/resolvent.h"
 #include "sim/async_engine.h"
 #include "sim/fault.h"
-#include "sim/thread_runtime.h"
 
 namespace discsp {
 namespace {
@@ -206,32 +205,6 @@ TEST(PartitionChaos, MonitorOnFaultFreeRunIsBitIdentical) {
   EXPECT_GT(b.metrics.monitor.checks, 0u);
   EXPECT_EQ(b.metrics.monitor.violations, 0u);
   EXPECT_EQ(a.metrics.monitor.checks, 0u) << "disabled monitor must not run";
-}
-
-TEST(PartitionChaos, ThreadRuntimeSolvesThroughPartitionEpisodes) {
-  // Partitions on the wall-clock runtime: windows open on real microseconds,
-  // so the exact cut pattern varies run to run, but the protocol must heal
-  // and solve, and credit conservation must hold under the monitor.
-  Rng rng(606);
-  const auto instance = gen::generate_coloring3(10, rng);
-  const auto dp = gen::distribute(instance);
-  awc::AwcSolver solver(dp, learning::ResolventLearning{});
-  const FullAssignment initial = solver.random_initial(rng);
-
-  sim::ThreadRuntimeConfig config;
-  config.faults.partition_interval = 4000;  // us
-  config.faults.partition_duration = 1500;  // us
-  config.faults.refresh_interval = 5;       // ms
-  config.faults.seed = 33;
-  config.monitor.enabled = true;
-  config.monitor.planted = instance.planted;
-  sim::ThreadRuntime runtime(dp.problem(), solver.make_agents(initial, rng.derive(1)),
-                             config);
-  const sim::RunResult result = runtime.run();
-  ASSERT_TRUE(result.metrics.solved);
-  EXPECT_TRUE(validate_solution(instance.problem, result.assignment).ok);
-  EXPECT_EQ(result.metrics.monitor.violations, 0u);
-  EXPECT_GT(result.metrics.monitor.checks, 0u);
 }
 
 TEST(MonitorOracle, FlagsFalseInsolubilityAgainstClaimedWitness) {

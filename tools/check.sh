@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Full local check: normal build + complete test suite, then a
-# ThreadSanitizer build running the concurrency-sensitive tests (the
-# thread runtime, the fault/chaos layer and the net carriers exercise real
-# threads), then an ASan+UBSan build running the wire and net-frame decoder
-# fuzzers and the chaos suites.
+# ThreadSanitizer build running the concurrency-sensitive tests (serve's
+# coordinator and worker threads over the net carriers, plus the fault/chaos
+# layer they share), then an ASan+UBSan build running the wire, net-frame
+# and DIMACS decoder tests and the chaos suites.
 #
 # Usage: tools/check.sh [build-dir-prefix]
 #   BUILD_DIR=dir   override the build directory prefix (same as argv[1])
@@ -27,16 +27,17 @@ cmake -B "${prefix}-tsan" -S . \
       -DDISCSP_BUILD_EXAMPLES=OFF >/dev/null
 cmake --build "${prefix}-tsan" -j "${jobs}" --target discsp_tests
 
-echo "--- TSan: thread runtime + fault layer + net transport tests ---"
+echo "--- TSan: fault layer + net transport tests ---"
 # Run the binary directly (no ctest indirection) and fail the whole script
-# on any sanitizer report or test failure. PartitionChaos/CorruptionChaos
-# include ThreadRuntime legs that exercise the monitor's concurrent mode;
-# NetLoopback* runs coordinator + worker threads over the in-proc and TCP
-# transports (the multi-process runtime's real concurrency surface);
+# on any sanitizer report or test failure. The FaultPlan and *Chaos suites
+# drive the fault plan, retransmit buffer and channel guard that every serve
+# worker builds; NetLoopback* runs coordinator + worker threads over the
+# in-proc and TCP transports (the multi-process runtime's real concurrency
+# surface), including one serve run per fault kind;
 # NetBatching* drives the in-proc ring pipe (SPSC ring + overflow handoff,
 # eventcount park/wake) and the coalesced-TCP carrier at batch 1 and 64.
 if ! "${prefix}-tsan/tests/discsp_tests" \
-    --gtest_filter='ThreadRuntime*:FaultPlan*:FaultChaos*:AmnesiaChaos*:PartitionChaos*:CorruptionChaos*:*Credit*:NetLoopback*:NetSupervisor*:NetBatching*'; then
+    --gtest_filter='FaultPlan*:FaultChaos*:AmnesiaChaos*:PartitionChaos*:CorruptionChaos*:NetLoopback*:NetSupervisor*:NetBatching*'; then
   echo "TSan leg failed." >&2
   exit 1
 fi
@@ -49,8 +50,11 @@ cmake -B "${prefix}-asan" -S . \
       -DDISCSP_BUILD_EXAMPLES=OFF >/dev/null
 cmake --build "${prefix}-asan" -j "${jobs}" --target discsp_tests
 
-echo "--- ASan+UBSan: wire + net-frame decode fuzz + corruption/partition chaos + store churn + AWC classification + Mcs + DB sender slots ---"
+echo "--- ASan+UBSan: wire + net-frame decode fuzz + DIMACS reader + corruption/partition chaos + store churn + AWC classification + Mcs + DB sender slots ---"
 # The decoder fuzz tests feed adversarial frames straight into the parser;
+# Dimacs* feeds the DIMACS reader hostile headers and literals (counts past
+# INT_MAX, the most negative long), where a wrapped count or a negated
+# literal would be a UBSan report;
 # NetFrame* does the same to the net control-frame decoder (bit flips,
 # random words, truncated prefixes of every kind) and walks the stats-word
 # decode, which indexes the counter table by a word count taken off the wire;
@@ -62,9 +66,11 @@ echo "--- ASan+UBSan: wire + net-frame decode fuzz + corruption/partition chaos 
 # position. DbProtocol* and the DB duplication/reordering chaos
 # test drive DbAgent's sender -> slot table, which is indexed by a sender id
 # taken off the wire (negative, past-the-table and non-neighbor senders).
-# ASan/UBSan turn any out-of-bounds read or signed overflow into a failure.
-if ! "${prefix}-asan/tests/discsp_tests" \
-    --gtest_filter='WireFormat*:ChannelGuardPolicy*:DcspDigest*:ReproBundle*:MonitorOracle*:PartitionSchedule*:PartitionChaos*:CorruptionChaos*:IncrementalView*:AwcClassify*:Mcs*:DbProtocol*:FaultChaos.DbSolvesUnderDuplicationAndReordering:NetFrame*'; then
+# ASan/UBSan turn any out-of-bounds read or signed overflow into a failure;
+# UBSan only reports and carries on unless halt_on_error is set.
+if ! UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
+    "${prefix}-asan/tests/discsp_tests" \
+    --gtest_filter='WireFormat*:ChannelGuardPolicy*:DcspDigest*:ReproBundle*:MonitorOracle*:PartitionSchedule*:PartitionChaos*:CorruptionChaos*:IncrementalView*:AwcClassify*:Mcs*:DbProtocol*:FaultChaos.DbSolvesUnderDuplicationAndReordering:NetFrame*:Dimacs*'; then
   echo "ASan leg failed." >&2
   exit 1
 fi

@@ -20,7 +20,13 @@
 #      conservation on every adoption, so zero violations IS the
 #      conservation gate). Per-trial migration counters are appended to
 #      $NET_SMOKE_METRICS when set (uploaded as a CI artifact).
-#   4. Deadline trial: a large instance under a tiny wall-clock budget must
+#   4. Partition trials: coordinator + 3 worker processes on the same 10%
+#      drop + 5% dup channel with episodic two-way partitions
+#      (--partition-interval/--partition-duration/--partition-groups). The
+#      first window opens when each worker loads the job, so it cuts the
+#      initial ok? broadcast. >= 95% must end SOLVED with zero monitor
+#      violations, each with a nonzero partition-drop count.
+#   5. Deadline trial: a large instance under a tiny wall-clock budget must
 #      degrade gracefully — exit code 3 and a well-formed partial report.
 #
 # Usage: tools/net_smoke.sh [build-dir]
@@ -242,6 +248,54 @@ run_migration_trial() {
   return 0
 }
 
+run_partition_trial() {
+  local seed="$1" log="$2"
+  local port_file="${work}/pport.${seed}"
+  rm -f "${port_file}"
+
+  timeout 120 "${cli}" serve "${work}/chaos.dcsp" \
+    --listen 127.0.0.1:0 --port-file "${port_file}" \
+    --workers 3 --deadline-ms 90000 --seed "${seed}" \
+    --fault-drop 0.10 --fault-duplicate 0.05 \
+    --partition-interval 100 --partition-duration 30 \
+    --partition-groups 2 >"${log}" 2>&1 &
+  local serve_pid=$!
+
+  if ! wait_port_file "${port_file}"; then
+    echo "trial ${seed}: coordinator never bound" >&2
+    kill -9 "${serve_pid}" 2>/dev/null || true
+    wait "${serve_pid}" 2>/dev/null || true
+    return 1
+  fi
+  local port
+  port="$(cat "${port_file}")"
+  for _ in 1 2 3; do
+    timeout 120 "${cli}" worker --connect "127.0.0.1:${port}" >/dev/null 2>&1 &
+  done
+
+  local status=0
+  wait "${serve_pid}" || status=$?
+  wait 2>/dev/null || true
+
+  if [[ "${status}" -ne 0 ]]; then
+    echo "trial ${seed}: serve exited ${status}" >&2
+    return 1
+  fi
+  if ! grep -q "SOLVED; validated: yes" "${log}"; then
+    echo "trial ${seed}: no validated solution" >&2
+    return 1
+  fi
+  if ! grep -q "monitor: violations 0," "${log}"; then
+    echo "trial ${seed}: monitor violations reported" >&2
+    return 1
+  fi
+  if ! grep -q "partition drops [1-9]" "${log}"; then
+    echo "trial ${seed}: no send was cut by a partition window" >&2
+    return 1
+  fi
+  return 0
+}
+
 echo "=== chaos trials: ${trials} x (3 workers, 1 SIGKILLed, 10% drop + 5% dup) ==="
 solved=0
 for t in $(seq 1 "${trials}"); do
@@ -292,6 +346,21 @@ if [[ -n "${metrics_file}" ]]; then
 fi
 if [[ "${msolved}" -lt "${need}" ]]; then
   echo "net_smoke: migration solve rate below 95%" >&2
+  exit 1
+fi
+
+echo "=== partition trials: ${trials} x (3 workers, 10% drop + 5% dup, 30 ms two-way cut every 100 ms) ==="
+psolved=0
+for t in $(seq 1 "${trials}"); do
+  if run_partition_trial "$((700 + t))" "${work}/partition.${t}.log"; then
+    psolved=$((psolved + 1))
+  else
+    sed -n '1,16p' "${work}/partition.${t}.log" >&2 || true
+  fi
+done
+echo "solved ${psolved}/${trials} (need >= ${need})"
+if [[ "${psolved}" -lt "${need}" ]]; then
+  echo "net_smoke: partition solve rate below 95%" >&2
   exit 1
 fi
 
