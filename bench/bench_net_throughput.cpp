@@ -5,8 +5,8 @@
 //
 // Each scenario runs one sender and one receiver over a single connection
 // pair. The frame mix is shaped like an n=64-agent chaos run: mostly routed
-// payload frames of 10..40 words plus a slice of small acks — the same
-// shape the coordinator star moves at steady state. Results go to stdout
+// payload frames of 10..40 words plus a slice of 4-entry ack batches — the
+// same shape the coordinator star moves at steady state. Results go to stdout
 // and, with --json FILE (default BENCH_net.json), to a JSON blob gated by
 // tools/bench_check.py against tools/bench_net_baseline.json.
 //
@@ -51,11 +51,13 @@ std::vector<WireFrame> make_templates() {
   templates.reserve(64);
   for (int i = 0; i < 64; ++i) {
     if (i % 8 == 0) {
+      // One drain's batch of acks, several entries per frame.
       net::NetAck ack;
-      ack.from = static_cast<AgentId>(rng.index(64));
-      ack.to = static_cast<AgentId>(rng.index(64));
-      ack.seq = rng.next();
-      templates.push_back(net::encode_net_frame(net::NetFrame{ack}));
+      for (int e = 0; e < 4; ++e) {
+        ack.entries.push_back({static_cast<AgentId>(rng.index(64)),
+                               static_cast<AgentId>(rng.index(64)), rng.next()});
+      }
+      templates.push_back(net::encode_net_frame(net::NetFrame{std::move(ack)}));
       continue;
     }
     net::NetRoute route;

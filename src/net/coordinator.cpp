@@ -58,6 +58,7 @@ class Coordinator {
       owner_[static_cast<std::size_t>(a)] = config_.job.shard_of(a);
     }
     detached_since_.assign(static_cast<std::size_t>(num_workers_), -1);
+    ack_split_.assign(static_cast<std::size_t>(num_workers_), NetFrame{NetAck{}});
     start_ms_ = steady_now_ms();
   }
 
@@ -443,12 +444,7 @@ class Coordinator {
     if (const auto* route = std::get_if<NetRoute>(&frame)) {
       handle_route(i, *route, now);
     } else if (const auto* ack = std::get_if<NetAck>(&frame)) {
-      if (ack->from < 0 || ack->from >= num_vars_) {
-        supervisor_.note_malformed(i, now);
-        return;
-      }
-      // Acks chase the original sender wherever it lives now.
-      forward(owner_[static_cast<std::size_t>(ack->from)], NetFrame{*ack});
+      handle_ack(i, *ack, now);
     } else if (const auto* stats = std::get_if<NetStats>(&frame)) {
       handle_stats(i, *stats, now);
     } else if (const auto* migrate = std::get_if<NetMigrate>(&frame)) {
@@ -490,6 +486,31 @@ class Coordinator {
     // exactly like in-process corruption.
     monitor_.on_activation(now);
     forward(owner_[static_cast<std::size_t>(route.to)], NetFrame{route});
+  }
+
+  /// Acks chase the original sender wherever it lives now: split the batch
+  /// by the owner of each `from` and forward one frame per owner, entries in
+  /// arrival order. One forged entry refuses the whole frame (it is never
+  /// produced under the fault model; retransmission repairs the rest).
+  void handle_ack(int i, const NetAck& ack, std::int64_t now) {
+    for (const NetAck::Entry& e : ack.entries) {
+      if (e.from < 0 || e.from >= num_vars_) {
+        supervisor_.note_malformed(i, now);
+        return;
+      }
+    }
+    for (const NetAck::Entry& e : ack.entries) {
+      const int owner = owner_[static_cast<std::size_t>(e.from)];
+      std::get<NetAck>(ack_split_[static_cast<std::size_t>(owner)])
+          .entries.push_back(e);
+    }
+    for (int w = 0; w < num_workers_; ++w) {
+      NetFrame& part = ack_split_[static_cast<std::size_t>(w)];
+      std::vector<NetAck::Entry>& entries = std::get<NetAck>(part).entries;
+      if (entries.empty()) continue;
+      forward(w, part);
+      entries.clear();
+    }
   }
 
   // ----- live shard migration --------------------------------------------
@@ -945,6 +966,8 @@ class Coordinator {
   /// Reusable encode scratch for the forwarding hot path (capacity
   /// persists, so steady-state routing allocates nothing).
   WireFrame net_scratch_;
+  /// Per-owner ACK frames handle_ack splits a batch into (reused).
+  std::vector<NetFrame> ack_split_;
 };
 
 }  // namespace

@@ -95,8 +95,12 @@ void encode_net_frame_into(const NetFrame& frame, WireFrame& out) {
                  static_cast<std::uint64_t>(f.frame.size())};
           out.insert(out.end(), f.frame.begin(), f.frame.end());
         } else if constexpr (std::is_same_v<T, NetAck>) {
-          out = {kKindAck, static_cast<std::uint64_t>(f.from),
-                 static_cast<std::uint64_t>(f.to), f.seq};
+          out = {kKindAck, static_cast<std::uint64_t>(f.entries.size())};
+          for (const NetAck::Entry& e : f.entries) {
+            out.push_back(static_cast<std::uint64_t>(e.from));
+            out.push_back(static_cast<std::uint64_t>(e.to));
+            out.push_back(e.seq);
+          }
         } else if constexpr (std::is_same_v<T, NetStats>) {
           const std::uint64_t flags = (f.idle ? 1ULL : 0ULL) |
                                       (f.insoluble ? 2ULL : 0ULL) |
@@ -215,15 +219,25 @@ NetDecodeResult decode_net_frame(const WireFrame& frame) {
       return {NetFrame{std::move(f)}, NetDecodeError::kNone};
     }
     case kKindAck: {
-      if (count != 4) return fail(NetDecodeError::kTruncated);
-      if (!agent_ok(frame[1]) || !agent_ok(frame[2])) {
+      // [n, (from, to, seq) x n]. The count is bounded before 3 * n is
+      // formed, so a hostile count cannot wrap the length check.
+      if (count < 2) return fail(NetDecodeError::kTruncated);
+      const std::uint64_t n = frame[1];
+      if (n == 0 || n > kMaxFrameWords / 3) {
         return fail(NetDecodeError::kBadBounds);
       }
+      if (count != 2 + 3 * n) return fail(NetDecodeError::kTruncated);
       NetAck f;
-      f.from = static_cast<AgentId>(frame[1]);
-      f.to = static_cast<AgentId>(frame[2]);
-      f.seq = frame[3];
-      return {NetFrame{f}, NetDecodeError::kNone};
+      f.entries.reserve(static_cast<std::size_t>(n));
+      for (std::size_t at = 2; at < count; at += 3) {
+        if (!agent_ok(frame[at]) || !agent_ok(frame[at + 1])) {
+          return fail(NetDecodeError::kBadBounds);
+        }
+        f.entries.push_back({static_cast<AgentId>(frame[at]),
+                             static_cast<AgentId>(frame[at + 1]),
+                             frame[at + 2]});
+      }
+      return {NetFrame{std::move(f)}, NetDecodeError::kNone};
     }
     case kKindStats: {
       if (count < 8) return fail(NetDecodeError::kTruncated);

@@ -17,6 +17,7 @@
 // ERROR and the connection is closed.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -35,8 +36,9 @@ using sim::WireFrame;
 /// layout change. v2 added the coordinator incarnation to both handshake
 /// frames (coordinator failover, docs/NETWORK.md); v3 added the live shard
 /// migration frames (MIGRATE/ADOPT/ADOPT_ACK/RELEASE) and the jobspec owner
-/// overrides they imply.
-inline constexpr std::uint64_t kNetProtoVersion = 3;
+/// overrides they imply; v4 turned ACK into a count-prefixed batch of
+/// (from, to, seq) triples.
+inline constexpr std::uint64_t kNetProtoVersion = 4;
 
 /// HELLO `shard` value meaning "assign me any shard".
 inline constexpr std::uint64_t kAnyShard = 0xffffffffULL;
@@ -88,13 +90,23 @@ struct NetRoute {
   WireFrame frame;
 };
 
-/// Receiver -> original sender (routed back through the coordinator):
-/// acknowledge `seq` on agent channel (from, to).
+/// Receiver -> original senders (routed back through the coordinator):
+/// acknowledge a batch of tracked deliveries, `seq` on agent channel
+/// (from, to) each. A worker collects the acks of one drain into a single
+/// frame; the coordinator splits it by the current owner of each `from`.
+/// Every entry is still a per-seq selective ack, not a cumulative one.
 struct NetAck {
-  AgentId from = kNoAgent;
-  AgentId to = kNoAgent;
-  std::uint64_t seq = 0;
+  struct Entry {
+    AgentId from = kNoAgent;
+    AgentId to = kNoAgent;
+    std::uint64_t seq = 0;
+  };
+  std::vector<Entry> entries;  ///< never empty on the wire
 };
+
+/// Entries a worker collects before it flushes an ACK frame early. Small on
+/// purpose: transports keep per-slot buffers at their high-water size.
+inline constexpr std::size_t kAckBatchCap = 16;
 
 /// Worker -> coordinator: periodic progress report. Carries the worker's
 /// lifetime counters (metrics_words, in sim::for_each_counter order),

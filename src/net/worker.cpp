@@ -318,6 +318,7 @@ class Worker {
   void build_shard(bool restart) {
     local_.clear();
     parked_.clear();  // frames parked for a job that no longer exists
+    pending_acks().entries.clear();
     auto population = make_job_agents(spec_.bundle);
     for (auto& agent : population) {
       // Ownership, not home shard: a continuation job spec carries the
@@ -512,10 +513,12 @@ class Worker {
       if (stopping_) {
         pending_adopts_.clear();
         inbound_parked_.clear();
+        pending_acks().entries.clear();
         return;
       }
     }
     if (!pending_adopts_.empty()) apply_adoptions();
+    flush_acks();
   }
 
   void handle(const NetFrame& frame) {
@@ -527,9 +530,13 @@ class Worker {
       unit.frame = route->frame;
       deliver_local(std::move(unit));
     } else if (const auto* ack = std::get_if<NetAck>(&frame)) {
-      if (retransmit_ != nullptr && ack->from >= 0 && ack->from < num_agents_ &&
-          ack->to >= 0 && ack->to < num_agents_) {
-        retransmit_->ack(ack->from, ack->to, ack->seq);
+      if (retransmit_ != nullptr) {
+        for (const NetAck::Entry& e : ack->entries) {
+          if (e.from >= 0 && e.from < num_agents_ && e.to >= 0 &&
+              e.to < num_agents_) {
+            retransmit_->ack(e.from, e.to, e.seq);
+          }
+        }
       }
     } else if (const auto* ping = std::get_if<NetPing>(&frame)) {
       NetPong pong{ping->nonce, ping->sent_ms};
@@ -724,6 +731,8 @@ class Worker {
   /// is itself subject to the fault bridge on channel (to, from) — this
   /// worker owns that stream because `to` is local. A corrupted ack is
   /// unparseable to its receiver: modeled as lost (AsyncEngine::send_ack).
+  /// The verdict is drawn here, per ack; only the encoding of a surviving
+  /// remote ack is deferred to the batch flush.
   void send_ack(AgentId from, AgentId to, std::uint64_t seq) {
     sim::ChannelVerdict verdict;
     if (plan_ != nullptr) verdict = plan_->on_send(to, from, elapsed());
@@ -732,10 +741,21 @@ class Worker {
       if (retransmit_ != nullptr) retransmit_->ack(from, to, seq);
       return;
     }
-    NetAck ack{from, to, seq};
-    encode_net_frame_into(NetFrame{ack}, net_scratch_);
+    std::vector<NetAck::Entry>& entries = pending_acks().entries;
+    entries.push_back({from, to, seq});
+    if (entries.size() >= kAckBatchCap) flush_acks();
+  }
+
+  /// Send the collected remote acks as one ACK frame (end of every drain
+  /// and tick, or early at kAckBatchCap).
+  void flush_acks() {
+    if (pending_acks().entries.empty()) return;
+    encode_net_frame_into(ack_batch_, net_scratch_);
+    pending_acks().entries.clear();
     send_net(net_scratch_);
   }
+
+  NetAck& pending_acks() { return std::get<NetAck>(ack_batch_); }
 
   // ----- timers ----------------------------------------------------------
 
@@ -775,6 +795,9 @@ class Worker {
       send_stats(/*final_report=*/false);
       next_report_ms_ = now + spec_.report_interval_ms;
     }
+    // Acks of deliveries made outside a drain (a released sender's frame
+    // flushed locally) leave with this tick.
+    flush_acks();
   }
 
   /// One untracked re-announcement round for `agent` (heartbeat repair).
@@ -896,6 +919,9 @@ class Worker {
   /// steady-state hot path allocates nothing).
   WireFrame net_scratch_;
   WireFrame payload_scratch_;
+  /// Remote acks of the current drain, held as a NetFrame so the flush
+  /// encodes it in place (capacity persists across flushes).
+  NetFrame ack_batch_{NetAck{}};
   /// Highest coordinator incarnation that ever WELCOMEd this worker
   /// (0 = none yet); older incarnations are refused as zombies.
   std::uint64_t coord_incarnation_ = 0;

@@ -1,5 +1,6 @@
 // Per-channel ack/seq tracking with backoff retransmission — the failure
-// detector that replaces the blind fixed-period anti-entropy heartbeat.
+// detector both asynchronous runtimes (AsyncEngine and the serve worker) use
+// to repair lost messages.
 //
 // Every tracked send is stamped with a per-channel sequence number and kept
 // in a pending buffer until the receiving side acknowledges that exact
@@ -9,13 +10,22 @@
 // max_timeout) plus deterministic per-channel jitter so synchronized losses
 // do not resynchronize into retransmission storms. When the suspicion was
 // wrong — the receiver provably had the message and only the ack was lost
-// or late — the retry is counted as a detector false positive.
+// or late — the retry is counted as a detector false positive. A send still
+// unacked after max_attempts retries is given up; the anti-entropy
+// heartbeat then owns its repair.
+//
+// Costs do not depend on the n^2 channel count. Retry deadlines live in one
+// lazily pruned min-heap, so next_deadline() is O(1) amortised and
+// collect_due() touches only the due sends; it then orders them by (sender,
+// receiver, seq), the order of a full channel scan, so jitter draws and the
+// retry sequence do not depend on the heap. Receiver-side dedup keeps a
+// per-channel watermark (every seq in [1, floor] was delivered) plus the
+// delivered seqs above it: exact membership, with memory bounded by how far
+// deliveries run out of order rather than by run length.
 //
 // The buffer is engine-agnostic: AsyncEngine interprets times as virtual
 // ticks, the serve worker as milliseconds. Each run drives its buffer from
 // one thread; the entry points stay thread-safe all the same.
-// The heartbeat stays available as a low-rate fallback for messages the
-// detector gave up on (max_attempts exceeded).
 #pragma once
 
 #include <cstdint>
@@ -23,8 +33,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <unordered_map>
-#include <unordered_set>
+#include <set>
 #include <vector>
 
 #include "common/rng.h"
@@ -81,6 +90,10 @@ class RetransmitBuffer {
   /// Earliest pending retry deadline, if any send is awaiting its ack.
   std::optional<std::int64_t> next_deadline() const;
 
+  /// Receiver-side dedup entries held above the channel's delivered
+  /// watermark (0 once every delivered seq is contiguous from 1).
+  std::size_t delivered_above_floor(AgentId from, AgentId to) const;
+
   struct Due {
     AgentId from = kNoAgent;
     AgentId to = kNoAgent;
@@ -97,7 +110,8 @@ class RetransmitBuffer {
   };
 
   /// Pop every entry due at `now`, advancing each survivor's deadline by its
-  /// backed-off timeout and discarding entries past max_attempts.
+  /// backed-off timeout and discarding entries past max_attempts. Entries
+  /// come out ordered by (from, to, seq).
   std::vector<Due> collect_due(std::int64_t now);
 
   /// An amnesia crash wiped `agent`: drop its sender-side pending buffers
@@ -118,17 +132,42 @@ class RetransmitBuffer {
     int attempts = 0;  // retransmissions so far
   };
   struct Channel {
-    std::uint64_t next_seq = 1;                       // sender side
-    std::map<std::uint64_t, Pending> pending;         // sender side
-    std::unordered_set<std::uint64_t> delivered;      // receiver side
+    std::uint64_t next_seq = 1;                // sender side
+    std::map<std::uint64_t, Pending> pending;  // sender side
+    // Receiver side: every seq in [1, delivered_floor] was delivered, and so
+    // was each seq in delivered_above (all of them > delivered_floor).
+    std::uint64_t delivered_floor = 0;
+    std::set<std::uint64_t> delivered_above;
     Rng jitter;
+
+    bool delivered(std::uint64_t seq) const {
+      return (seq != 0 && seq <= delivered_floor) ||
+             delivered_above.count(seq) != 0;
+    }
+  };
+  /// One scheduled retry. Never updated in place: an ack, give-up, reschedule
+  /// or forget leaves the entry behind, and it is dropped when it surfaces
+  /// (its pending send is gone or now carries another deadline).
+  struct Deadline {
+    std::int64_t at = 0;
+    std::size_t channel = 0;  // index into channels_
+    std::uint64_t seq = 0;
+    bool operator>(const Deadline& other) const { return at > other.at; }
   };
 
   Channel& channel(AgentId from, AgentId to);
+  const Channel& channel(AgentId from, AgentId to) const;
+  bool live(const Deadline& d) const;
+  void schedule(std::size_t channel, std::uint64_t seq, std::int64_t at);
+  void pop_deadline() const;
 
   RetransmitConfig config_;
   int num_agents_;
   std::vector<Channel> channels_;  // num_agents^2, row-major by sender
+  /// Min-heap on `at` over every pending send's current deadline, plus stale
+  /// entries; compacted once stale entries outnumber live ones.
+  mutable std::vector<Deadline> deadlines_;
+  std::size_t pending_count_ = 0;
   mutable std::mutex mutex_;
 
   std::uint64_t retransmissions_ = 0;

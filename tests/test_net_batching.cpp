@@ -63,10 +63,13 @@ std::vector<WireFrame> make_stream(std::size_t count, std::uint64_t seed) {
     switch (rng.index(4)) {
       case 0: {
         net::NetAck ack;
-        ack.from = static_cast<AgentId>(rng.index(64));
-        ack.to = static_cast<AgentId>(rng.index(64));
-        ack.seq = rng.next();
-        frame = net::encode_net_frame(net::NetFrame{ack});
+        const std::size_t entries = 1 + rng.index(net::kAckBatchCap);
+        for (std::size_t e = 0; e < entries; ++e) {
+          ack.entries.push_back({static_cast<AgentId>(rng.index(64)),
+                                 static_cast<AgentId>(rng.index(64)),
+                                 rng.next()});
+        }
+        frame = net::encode_net_frame(net::NetFrame{std::move(ack)});
         break;
       }
       case 1: {

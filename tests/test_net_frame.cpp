@@ -1,7 +1,8 @@
 // Net control-frame codec tests (net/netframe.h):
 //  - every frame kind round-trips through encode_net_frame/decode_net_frame;
 //  - hostile input never decodes: truncation, checksum damage, unknown
-//    kinds and out-of-bounds fields are rejected with the right error;
+//    kinds, out-of-bounds fields and ACK batches whose count overflows or
+//    disagrees with the length are rejected with the right error;
 //  - the RunMetrics counter table (sim::for_each_counter): every counter
 //    round-trips through encode_metrics_words/decode_metrics_words, word i
 //    is still the i-th counter of the first 32-word format (stats frames
@@ -109,15 +110,66 @@ TEST(NetFrame, RouteRoundTripPreservesEmbeddedFrameVerbatim) {
 
 TEST(NetFrame, AckRoundTrip) {
   NetAck ack;
-  ack.from = 3;
-  ack.to = 1;
-  ack.seq = 77;
+  ack.entries.push_back({3, 1, 77});
   auto decoded = decode_net_frame(encode_net_frame(ack));
   ASSERT_TRUE(decoded.ok());
   const auto& got = std::get<NetAck>(*decoded.frame);
-  EXPECT_EQ(got.from, 3);
-  EXPECT_EQ(got.to, 1);
-  EXPECT_EQ(got.seq, 77u);
+  ASSERT_EQ(got.entries.size(), 1u);
+  EXPECT_EQ(got.entries[0].from, 3);
+  EXPECT_EQ(got.entries[0].to, 1);
+  EXPECT_EQ(got.entries[0].seq, 77u);
+}
+
+TEST(NetFrame, AckBatchRoundTrips) {
+  // One entry and a full batch: [kind, n, (from, to, seq) x n, checksum].
+  for (const std::size_t n : {std::size_t{1}, net::kAckBatchCap}) {
+    NetAck ack;
+    for (std::size_t i = 0; i < n; ++i) {
+      ack.entries.push_back({static_cast<AgentId>(i % 5),
+                             static_cast<AgentId>(40 + i),
+                             (std::uint64_t{1} << 40) + i});
+    }
+    const WireFrame wire = encode_net_frame(ack);
+    EXPECT_EQ(wire.size(), 3 + 3 * n);
+    auto decoded = decode_net_frame(wire);
+    ASSERT_TRUE(decoded.ok()) << "n=" << n;
+    const auto& got = std::get<NetAck>(*decoded.frame);
+    ASSERT_EQ(got.entries.size(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(got.entries[i].from, ack.entries[i].from);
+      EXPECT_EQ(got.entries[i].to, ack.entries[i].to);
+      EXPECT_EQ(got.entries[i].seq, ack.entries[i].seq);
+    }
+  }
+}
+
+/// An ACK frame whose words after the kind are `body`, sealed so only the
+/// semantic checks can object.
+WireFrame sealed_ack(std::vector<std::uint64_t> body) {
+  WireFrame frame{104};
+  frame.insert(frame.end(), body.begin(), body.end());
+  sim::seal_frame(frame);
+  return frame;
+}
+
+TEST(NetFrame, HostileAckFramesGetTypedErrors) {
+  // A count whose 3n wraps to 3: a naive `count == 2 + 3n` check would
+  // accept the one triple that follows.
+  const std::uint64_t wraps = 0x5555555555555556ULL;  // 3 * wraps == 2 mod 2^64
+  EXPECT_EQ(decode_net_frame(sealed_ack({wraps, 1, 2, 3})).error,
+            NetDecodeError::kBadBounds);
+  // The count disagrees with the frame length, both ways.
+  EXPECT_EQ(decode_net_frame(sealed_ack({2, 1, 2, 3})).error,
+            NetDecodeError::kTruncated);
+  EXPECT_EQ(decode_net_frame(sealed_ack({1, 1, 2, 3, 4, 5, 6})).error,
+            NetDecodeError::kTruncated);
+  // An empty batch is never sent.
+  EXPECT_EQ(decode_net_frame(sealed_ack({0})).error, NetDecodeError::kBadBounds);
+  // One out-of-range agent inside the second triple poisons the frame.
+  EXPECT_EQ(decode_net_frame(sealed_ack({2, 1, 2, 3, 1ULL << 31, 2, 4})).error,
+            NetDecodeError::kBadBounds);
+  EXPECT_EQ(decode_net_frame(sealed_ack({2, 1, 2, 3, 4, ~0ULL, 4})).error,
+            NetDecodeError::kBadBounds);
 }
 
 TEST(NetFrame, StatsRoundTrip) {
@@ -289,7 +341,7 @@ TEST(NetFrame, RejectsTruncation) {
 }
 
 TEST(NetFrame, RejectsChecksumDamage) {
-  auto frame = encode_net_frame(NetAck{1, 2, 3});
+  auto frame = encode_net_frame(NetAck{{{1, 2, 3}}});
   frame[2] ^= 1;  // single bit flip, length preserved
   EXPECT_EQ(decode_net_frame(frame).error, NetDecodeError::kChecksum);
 }
@@ -355,8 +407,9 @@ TEST(NetFrame, FuzzTruncatedPrefixesNeverDecode) {
   }
 }
 
-/// One encoding of every control frame, incarnation fields populated —
-/// the corpus the mutation fuzz below walks.
+/// One encoding of every control frame, incarnation fields populated, plus
+/// multi-entry and hostile ACK batches — the corpus the mutation fuzz below
+/// walks.
 std::vector<WireFrame> fuzz_corpus() {
   NetHello hello;
   hello.shard = 1;
@@ -392,7 +445,11 @@ std::vector<WireFrame> fuzz_corpus() {
           encode_net_frame(welcome),
           encode_net_frame(NetJob{"job 1\n"}),
           encode_net_frame(route),
-          encode_net_frame(NetAck{1, 2, 3}),
+          encode_net_frame(NetAck{{{1, 2, 3}}}),
+          encode_net_frame(NetAck{{{1, 2, 3}, {4, 5, 6}, {0, 7, 8}}}),
+          sealed_ack({0x5555555555555556ULL, 1, 2, 3}),
+          sealed_ack({2, 1, 2, 3}),
+          sealed_ack({2, 1, 2, 3, 1ULL << 31, 2, 4}),
           encode_net_frame(stats),
           encode_net_frame(NetStop{StopReason::kSolved}),
           encode_net_frame(NetPing{7, 8}),

@@ -5,14 +5,21 @@
 //    seed, grows exponentially, and respects the max_timeout cap;
 //  - retransmit buffer: selective-repeat tracking, ack clearing, duplicate
 //    suppression, false-positive counting, give-up, and amnesia forgetting;
+//    a differential fuzz against a full-scan reference (every deadline, due
+//    retry and dedup answer identical) and a bounded in-order dedup;
 //  - bounded nogood store: the capacity bound always holds and eviction
 //    never removes an initial, unit, or currently-violated nogood.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <map>
+#include <optional>
 #include <stdexcept>
+#include <unordered_set>
 #include <vector>
+
+#include "common/rng.h"
 
 #include "csp/nogood_store.h"
 #include "recovery/journal.h"
@@ -248,6 +255,220 @@ TEST(RetransmitBuffer, ForgetAgentDropsPendingAndDedupState) {
 
   // Channel sequence counters are transport state and keep increasing.
   EXPECT_EQ(buffer.track(1, 2, sim::MessagePayload{}, 0), out + 1);
+}
+
+/// The buffer's semantics as a brute-force model: every query scans all
+/// n^2 channels from-major, and dedup keeps every delivered seq in a hash
+/// set. Payloads are reduced to a tag.
+class ScanReference {
+ public:
+  struct Due {
+    AgentId from = kNoAgent;
+    AgentId to = kNoAgent;
+    std::uint64_t seq = 0;
+    std::uint64_t tag = 0;
+    int attempt = 0;
+    bool false_positive = false;
+  };
+
+  ScanReference(const RetransmitConfig& config, int num_agents)
+      : config_(config),
+        n_(static_cast<std::size_t>(num_agents)),
+        channels_(n_ * n_) {
+    for (std::size_t from = 0; from < n_; ++from) {
+      for (std::size_t to = 0; to < n_; ++to) {
+        // The buffer's per-channel jitter stream derivation.
+        std::uint64_t state = config.seed ^ (0x9e3779b97f4a7c15ULL * (from + 1)) ^
+                              (0xbf58476d1ce4e5b9ULL * (to + 1));
+        channels_[from * n_ + to].jitter = Rng(splitmix64(state));
+      }
+    }
+  }
+
+  std::uint64_t track(AgentId from, AgentId to, std::uint64_t tag,
+                      std::int64_t now) {
+    Channel& ch = at(from, to);
+    const std::uint64_t seq = ch.next_seq++;
+    ch.pending[seq] = {tag, now + config_.timeout_for(0, ch.jitter), 0};
+    return seq;
+  }
+  void ack(AgentId from, AgentId to, std::uint64_t seq) {
+    at(from, to).pending.erase(seq);
+  }
+  bool mark_delivered(AgentId from, AgentId to, std::uint64_t seq) {
+    return !at(from, to).delivered.insert(seq).second;
+  }
+  std::optional<std::int64_t> next_deadline() const {
+    std::optional<std::int64_t> earliest;
+    for (const Channel& ch : channels_) {
+      for (const auto& [seq, p] : ch.pending) {
+        if (!earliest || p.deadline < *earliest) earliest = p.deadline;
+      }
+    }
+    return earliest;
+  }
+  std::vector<Due> collect_due(std::int64_t now) {
+    std::vector<Due> due;
+    for (std::size_t c = 0; c < channels_.size(); ++c) {
+      Channel& ch = channels_[c];
+      for (auto it = ch.pending.begin(); it != ch.pending.end();) {
+        Pending& p = it->second;
+        if (p.deadline > now) {
+          ++it;
+          continue;
+        }
+        if (p.attempts >= config_.max_attempts) {
+          ++gave_up;
+          it = ch.pending.erase(it);
+          continue;
+        }
+        ++p.attempts;
+        const bool fp = ch.delivered.count(it->first) != 0;
+        due.push_back({static_cast<AgentId>(c / n_), static_cast<AgentId>(c % n_),
+                       it->first, p.tag, p.attempts, fp});
+        p.deadline = now + config_.timeout_for(p.attempts, ch.jitter);
+        ++it;
+      }
+    }
+    return due;
+  }
+  void forget_agent(AgentId agent) {
+    const auto a = static_cast<std::size_t>(agent);
+    for (std::size_t other = 0; other < n_; ++other) {
+      channels_[a * n_ + other].pending.clear();
+      channels_[other * n_ + a].delivered.clear();
+    }
+  }
+  std::uint64_t next_seq(AgentId from, AgentId to) { return at(from, to).next_seq; }
+
+  std::uint64_t gave_up = 0;
+
+ private:
+  struct Pending {
+    std::uint64_t tag = 0;
+    std::int64_t deadline = 0;
+    int attempts = 0;
+  };
+  struct Channel {
+    std::uint64_t next_seq = 1;
+    std::map<std::uint64_t, Pending> pending;
+    std::unordered_set<std::uint64_t> delivered;
+    Rng jitter;
+  };
+  Channel& at(AgentId from, AgentId to) {
+    return channels_[static_cast<std::size_t>(from) * n_ +
+                     static_cast<std::size_t>(to)];
+  }
+
+  RetransmitConfig config_;
+  std::size_t n_;
+  std::vector<Channel> channels_;
+};
+
+sim::MessagePayload tagged(std::uint64_t tag) {
+  sim::OkMessage ok;
+  ok.seq = tag;
+  return ok;
+}
+
+TEST(RetransmitBuffer, MatchesScanReferenceUnderChurn) {
+  constexpr int kAgents = 4;
+  RetransmitConfig config;
+  config.ack_timeout = 6;
+  config.backoff = 2.0;
+  config.max_attempts = 3;  // small, so given-up seqs leave permanent gaps
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    config.seed = seed;
+    RetransmitBuffer buffer(config, kAgents);
+    ScanReference reference(config, kAgents);
+    Rng rng(seed * 7919);
+    // Next seq each channel's receiver expects in order; deliveries mostly
+    // follow it, skip ahead (gaps), or revisit older seqs (duplicates).
+    std::vector<std::uint64_t> cursor(kAgents * kAgents, 1);
+    std::int64_t now = 0;
+    std::uint64_t tag = 0;
+    std::uint64_t dues = 0;
+    std::uint64_t duplicates = 0;
+    for (int step = 0; step < 20000; ++step) {
+      SCOPED_TRACE(testing::Message() << "seed " << seed << " step " << step);
+      const auto from = static_cast<AgentId>(rng.below(kAgents));
+      const auto to = static_cast<AgentId>(rng.below(kAgents));
+      const std::size_t c = static_cast<std::size_t>(from) * kAgents +
+                            static_cast<std::size_t>(to);
+      const std::uint64_t op = rng.below(100);
+      if (op < 30) {
+        ++tag;
+        ASSERT_EQ(buffer.track(from, to, tagged(tag), now),
+                  reference.track(from, to, tag, now));
+      } else if (op < 52) {
+        std::uint64_t seq = 0;
+        const std::uint64_t how = rng.below(10);
+        if (how < 6) {
+          seq = cursor[c]++;  // in order
+        } else if (how < 8) {
+          cursor[c] += 1 + rng.below(3);  // skip: a gap, maybe permanent
+          seq = cursor[c]++;
+        } else if (how < 9) {
+          seq = 1 + rng.below(cursor[c]);  // old seq: a likely duplicate
+        } else {
+          seq = cursor[c] + rng.below(6);  // ahead of the stream
+        }
+        const bool dup = reference.mark_delivered(from, to, seq);
+        duplicates += dup ? 1 : 0;
+        ASSERT_EQ(buffer.mark_delivered(from, to, seq), dup) << "seq " << seq;
+      } else if (op < 68) {
+        const std::uint64_t seq = rng.below(reference.next_seq(from, to) + 2);
+        buffer.ack(from, to, seq);
+        reference.ack(from, to, seq);
+      } else if (op < 70) {
+        buffer.forget_agent(from);  // amnesia of agent `from`
+        reference.forget_agent(from);
+        for (int other = 0; other < kAgents; ++other) {
+          cursor[static_cast<std::size_t>(other) * kAgents +
+                 static_cast<std::size_t>(from)] = 1 + rng.below(4);
+        }
+      } else {
+        now += static_cast<std::int64_t>(rng.below(5));
+        const auto got = buffer.collect_due(now);
+        const auto want = reference.collect_due(now);
+        ASSERT_EQ(got.size(), want.size());
+        for (std::size_t i = 0; i < got.size(); ++i) {
+          EXPECT_EQ(got[i].from, want[i].from) << "due " << i;
+          EXPECT_EQ(got[i].to, want[i].to) << "due " << i;
+          EXPECT_EQ(got[i].seq, want[i].seq) << "due " << i;
+          EXPECT_EQ(std::get<sim::OkMessage>(*got[i].payload).seq, want[i].tag)
+              << "due " << i;
+          EXPECT_EQ(got[i].attempt, want[i].attempt) << "due " << i;
+          EXPECT_EQ(got[i].false_positive, want[i].false_positive) << "due " << i;
+        }
+        dues += got.size();
+      }
+      ASSERT_EQ(buffer.next_deadline(), reference.next_deadline());
+      ASSERT_EQ(buffer.gave_up(), reference.gave_up);
+    }
+    // The walk must actually reach the interesting states.
+    EXPECT_GT(dues, 1000u) << "seed " << seed;
+    EXPECT_GT(reference.gave_up, 100u) << "seed " << seed;
+    EXPECT_GT(duplicates, 100u) << "seed " << seed;
+    EXPECT_GT(buffer.false_positives(), 0u) << "seed " << seed;
+  }
+}
+
+TEST(RetransmitBuffer, InOrderDedupStaysBounded) {
+  RetransmitBuffer buffer(buffer_config(), 2);
+  for (std::uint64_t seq = 1; seq <= 1'000'000; ++seq) {
+    ASSERT_FALSE(buffer.mark_delivered(0, 1, seq)) << seq;
+  }
+  EXPECT_EQ(buffer.delivered_above_floor(0, 1), 0u);
+  EXPECT_TRUE(buffer.mark_delivered(0, 1, 1));
+  EXPECT_TRUE(buffer.mark_delivered(0, 1, 1'000'000));
+  // A gap holds later seqs above the floor until it closes.
+  EXPECT_FALSE(buffer.mark_delivered(0, 1, 1'000'002));
+  EXPECT_FALSE(buffer.mark_delivered(0, 1, 1'000'003));
+  EXPECT_EQ(buffer.delivered_above_floor(0, 1), 2u);
+  EXPECT_FALSE(buffer.mark_delivered(0, 1, 1'000'001));
+  EXPECT_EQ(buffer.delivered_above_floor(0, 1), 0u);
+  EXPECT_TRUE(buffer.mark_delivered(0, 1, 1'000'003));
 }
 
 TEST(BoundedNogoodStore, CapacityBoundAlwaysHolds) {

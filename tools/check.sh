@@ -50,14 +50,18 @@ cmake -B "${prefix}-asan" -S . \
       -DDISCSP_BUILD_EXAMPLES=OFF >/dev/null
 cmake --build "${prefix}-asan" -j "${jobs}" --target discsp_tests
 
-echo "--- ASan+UBSan: wire + net-frame decode fuzz + DIMACS reader + corruption/partition chaos + store churn + AWC classification + Mcs + DB sender slots ---"
+echo "--- ASan+UBSan: wire + net-frame decode fuzz + DIMACS reader + corruption/partition chaos + store churn + AWC classification + Mcs + DB sender slots + retransmit buffer ---"
 # The decoder fuzz tests feed adversarial frames straight into the parser;
 # Dimacs* feeds the DIMACS reader hostile headers and literals (counts past
 # INT_MAX, the most negative long), where a wrapped count or a negated
 # literal would be a UBSan report;
 # NetFrame* does the same to the net control-frame decoder (bit flips,
-# random words, truncated prefixes of every kind) and walks the stats-word
-# decode, which indexes the counter table by a word count taken off the wire;
+# random words, truncated prefixes of every kind, ACK batches whose count
+# overflows or disagrees with the length) and walks the stats-word decode,
+# which indexes the counter table by a word count taken off the wire;
+# RetransmitBuffer* and RetransmitBackoff* drive the retry deadline heap
+# (lazy pruning, compaction) and the per-channel dedup watermark against a
+# full-scan reference, both indexed by channel arithmetic;
 # IncrementalView* churns the nogood store (add/remove/evict/compact against
 # a brute-force oracle); AwcClassify* checks the arena classifier, which
 # indexes the literal arena and the flat view/priority arrays by store index
@@ -70,7 +74,7 @@ echo "--- ASan+UBSan: wire + net-frame decode fuzz + DIMACS reader + corruption/
 # UBSan only reports and carries on unless halt_on_error is set.
 if ! UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
     "${prefix}-asan/tests/discsp_tests" \
-    --gtest_filter='WireFormat*:ChannelGuardPolicy*:DcspDigest*:ReproBundle*:MonitorOracle*:PartitionSchedule*:PartitionChaos*:CorruptionChaos*:IncrementalView*:AwcClassify*:Mcs*:DbProtocol*:FaultChaos.DbSolvesUnderDuplicationAndReordering:NetFrame*:Dimacs*'; then
+    --gtest_filter='WireFormat*:ChannelGuardPolicy*:DcspDigest*:ReproBundle*:MonitorOracle*:PartitionSchedule*:PartitionChaos*:CorruptionChaos*:IncrementalView*:AwcClassify*:Mcs*:DbProtocol*:FaultChaos.DbSolvesUnderDuplicationAndReordering:NetFrame*:Dimacs*:RetransmitBuffer*:RetransmitBackoff*'; then
   echo "ASan leg failed." >&2
   exit 1
 fi

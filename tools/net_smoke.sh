@@ -101,23 +101,28 @@ run_trial() {
   kill -9 "${victim_pid}" 2>/dev/null || true
   timeout 120 "${cli}" worker --connect "127.0.0.1:${port}" >/dev/null 2>&1 &
 
-  local status=0
+  local status=0 verdict=0
   wait "${serve_pid}" || status=$?
-  wait 2>/dev/null || true
 
   if [[ "${status}" -ne 0 ]]; then
     echo "trial ${seed}: serve exited ${status}" >&2
-    return 1
-  fi
-  if ! grep -q "SOLVED; validated: yes" "${log}"; then
+    verdict=1
+  elif ! grep -q "SOLVED; validated: yes" "${log}"; then
     echo "trial ${seed}: no validated solution" >&2
-    return 1
-  fi
-  if ! grep -q "monitor: violations 0," "${log}"; then
+    verdict=1
+  elif ! grep -q "monitor: violations 0," "${log}"; then
     echo "trial ${seed}: monitor violations reported" >&2
-    return 1
+    verdict=1
   fi
-  return 0
+  # A replacement that attached mid-run shows as a worker restart.
+  if grep -q "worker restarts [1-9]" "${log}"; then
+    killed_mid_run=$((killed_mid_run + 1))
+  fi
+  # The verdict is read. A replacement that dialed after the solve never
+  # gets a STOP and would retry until its connect budget runs out.
+  kill $(jobs -p) 2>/dev/null || true
+  wait 2>/dev/null || true
+  return "${verdict}"
 }
 
 run_failover_trial() {
@@ -298,6 +303,7 @@ run_partition_trial() {
 
 echo "=== chaos trials: ${trials} x (3 workers, 1 SIGKILLed, 10% drop + 5% dup) ==="
 solved=0
+killed_mid_run=0
 for t in $(seq 1 "${trials}"); do
   if run_trial "$((100 + t))" "${work}/trial.${t}.log"; then
     solved=$((solved + 1))
@@ -306,7 +312,7 @@ for t in $(seq 1 "${trials}"); do
   fi
 done
 need=$(( (trials * 95 + 99) / 100 ))  # ceil(95%)
-echo "solved ${solved}/${trials} (need >= ${need})"
+echo "solved ${solved}/${trials} (need >= ${need}); kill landed mid-run in ${killed_mid_run}"
 if [[ "${solved}" -lt "${need}" ]]; then
   echo "net_smoke: chaos solve rate below 95%" >&2
   exit 1
