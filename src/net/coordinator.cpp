@@ -231,6 +231,12 @@ class Coordinator {
     all_attached_once_ =
         std::all_of(slots_.begin(), slots_.end(),
                     [](const Slot& s) { return s.incarnation > 0; });
+    // Nothing is attached to this incarnation yet, so every slot's loss
+    // clock starts at resume: a worker that died before the halt never
+    // re-attaches, and so never detaches here to start it.
+    if (config_.migrate_after_dead) {
+      detached_since_.assign(slots_.size(), elapsed());
+    }
   }
 
   /// The complete journalable control-plane state, from the live members.

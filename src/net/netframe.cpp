@@ -207,8 +207,11 @@ NetDecodeResult decode_net_frame(const WireFrame& frame) {
       if (!agent_ok(frame[1]) || !agent_ok(frame[2])) {
         return fail(NetDecodeError::kBadBounds);
       }
+      // An empty embedded frame would reach the receiving agent unadmitted.
       const std::uint64_t inner = frame[4];
-      if (inner > kMaxFrameWords) return fail(NetDecodeError::kBadBounds);
+      if (inner == 0 || inner > kMaxFrameWords) {
+        return fail(NetDecodeError::kBadBounds);
+      }
       if (count != 5 + inner) return fail(NetDecodeError::kTruncated);
       NetRoute f;
       f.from = static_cast<AgentId>(frame[1]);

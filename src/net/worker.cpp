@@ -5,9 +5,8 @@
 #include <fstream>
 #include <map>
 #include <memory>
-#include <queue>
+#include <span>
 #include <thread>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -16,31 +15,13 @@
 #include "net/jobspec.h"
 #include "net/supervisor.h"
 #include "recovery/capsule.h"
-#include "sim/agent.h"
-#include "sim/fault.h"
+#include "sim/agent_host.h"
 
 namespace discsp::net {
 
 namespace {
 
-/// One frame copy awaiting dispatch: a local delivery or a route to the
-/// coordinator, possibly held back by a delay spike.
-struct Unit {
-  std::int64_t due_ms = 0;
-  std::uint64_t order = 0;  // FIFO tie-break
-  AgentId from = kNoAgent;
-  AgentId to = kNoAgent;
-  sim::MessagePayload payload;  // the clean payload
-  WireFrame frame;              // sealed frame (maybe corrupted); may be empty
-                                // for local deliveries on the corruption-free path
-  std::uint64_t track_seq = 0;
-};
-
-struct UnitLater {
-  bool operator()(const Unit& a, const Unit& b) const {
-    return std::tie(a.due_ms, a.order) > std::tie(b.due_ms, b.order);
-  }
-};
+using Copy = sim::AgentHost::Copy;
 
 class Worker {
  public:
@@ -61,7 +42,7 @@ class Worker {
         return finish();
       }
       if (conn_ != nullptr && conn_->open()) {
-        conn_->pump(static_cast<int>(wait_ms(now)));
+        conn_->pump(static_cast<int>(wait_ms()));
         drain_frames();
         if (stopping_) return finish();
       }
@@ -71,7 +52,7 @@ class Worker {
         // proceeds on the backoff schedule.
         if (!orphan_step()) return finish();
       }
-      tick(now_ms());
+      tick();
     }
   }
 
@@ -179,7 +160,7 @@ class Worker {
   /// lifetime counters first.
   void drop_connection() {
     if (conn_ != nullptr) {
-      metrics_.backpressure_drops += conn_->dropped_frames();
+      backpressure_drops_ += conn_->dropped_frames();
       conn_.reset();
     }
   }
@@ -196,7 +177,7 @@ class Worker {
                              std::max(config_.orphan_capacity, 0))) {
       parked_.push_back(frame);  // copy: only the rare orphaned path pays
     } else {
-      ++metrics_.backpressure_drops;
+      ++backpressure_drops_;
     }
   }
 
@@ -304,195 +285,114 @@ class Worker {
     // applying them to rebuilt ones lifts their announcements above every
     // seq the coordinator ever routed for them.
     for (const auto& [agent, floor] : spec_.seq_floors) {
-      if (auto* a = local_agent(agent)) a->set_seq_floor(floor);
+      if (auto* a = host_->agent(agent)) a->set_seq_floor(floor);
     }
     if (!rebuild) {
       // Socket-only reconnect: agents survived, but traffic queued on the
-      // old connection died. One re-announcement round resyncs the peers.
-      for (auto& [id, agent] : local_) announce(*agent);
+      // old connection died. One heartbeat round resyncs the peers.
+      host_->set_now(elapsed());
+      host_->heartbeat_round();
+      drain_host();
     }
     job_loaded_ = true;
     return true;
   }
 
   void build_shard(bool restart) {
-    local_.clear();
     parked_.clear();  // frames parked for a job that no longer exists
     pending_acks().entries.clear();
-    auto population = make_job_agents(spec_.bundle);
-    for (auto& agent : population) {
-      // Ownership, not home shard: a continuation job spec carries the
-      // migration-adjusted owner map, so a replacement builds exactly the
-      // agents the coordinator currently routes to this slot.
-      if (spec_.owner_of(agent->id()) == static_cast<int>(shard_)) {
-        local_.emplace(agent->id(), std::move(agent));
-      }
-    }
-    num_agents_ = static_cast<int>(population.size());
+    host_ = std::make_unique<sim::AgentHost>(
+        spec_.bundle.instance.problem(), spec_.bundle.instance.num_agents(),
+        spec_.bundle.faults, spec_.bundle.retransmit,
+        sim::AgentHost::Tracking::kAlways);
     capsule_hash_.clear();
-
-    const sim::FaultConfig& faults = spec_.bundle.faults;
-    plan_ = faults.enabled()
-                ? std::make_unique<sim::FaultPlan>(faults, num_agents_)
-                : nullptr;
-    retransmit_ = spec_.bundle.retransmit.enabled()
-                      ? std::make_unique<recovery::RetransmitBuffer>(
-                            spec_.bundle.retransmit, num_agents_)
-                      : nullptr;
-    limits_ = std::make_unique<sim::WireLimits>(sim::wire_limits_for(
-        spec_.bundle.instance.problem(), num_agents_));
-    guard_ = std::make_unique<sim::ChannelGuard>(num_agents_,
-                                                 faults.quarantine_budget,
-                                                 faults.quarantine_duration);
-    metrics_ = {};
+    backpressure_drops_ = 0;
     egress_ = {};
-    next_heartbeat_ms_ = heartbeat_period() > 0 ? elapsed() + heartbeat_period() : -1;
+    const std::int64_t period = host_->refresh_interval();
+    next_heartbeat_ms_ = period > 0 ? elapsed() + period : -1;
     next_report_ms_ = elapsed() + spec_.report_interval_ms;
+    // A replacement for a dead incarnation recovers instead of starting:
+    // crash_restart re-announces (above the seq floors) and re-requests
+    // every link's current value; start would re-send the initial ok?s of a
+    // run the peers have long moved past.
+    host_owned([restart](sim::Agent& agent, sim::MessageSink& sink) {
+      restart ? agent.crash_restart(sink) : agent.start(sink);
+    });
+  }
 
-    for (auto& [id, agent] : local_) {
-      Sink sink(*this, id, /*tracking=*/true);
-      // A replacement for a dead incarnation recovers instead of starting:
-      // crash_restart re-announces (above the seq floors) and re-requests
-      // every link's current value; start would re-send the initial ok?s of
-      // a run the peers have long moved past.
-      if (restart) {
-        agent->crash_restart(sink);
-      } else {
-        agent->start(sink);
+  /// Host every agent the job's owner map gives this slot and the host
+  /// lacks, running `action` on each. Ownership, not home shard: a
+  /// continuation job spec carries the migration-adjusted owner map, so a
+  /// replacement builds exactly the agents the coordinator routes here.
+  template <class F>
+  void host_owned(F&& action) {
+    host_->set_now(elapsed());
+    for (auto& agent : make_job_agents(spec_.bundle)) {
+      if (spec_.owner_of(agent->id()) != static_cast<int>(shard_) ||
+          host_->agent(agent->id()) != nullptr) {
+        continue;
       }
-      metrics_.total_checks += agent->take_checks();
+      host_->act(host_->add_agent(std::move(agent)), action);
     }
+    drain_host();
   }
-
-  sim::Agent* local_agent(AgentId id) {
-    const auto it = local_.find(id);
-    return it == local_.end() ? nullptr : it->second.get();
-  }
-
-  bool is_local(AgentId id) const { return local_.count(id) != 0; }
 
   /// Align the hosted agent set with the job spec's current owner map
   /// (socket-only reconnect). Agents adopted away while we were orphaned are
-  /// erased (their frames would be fenced anyway); agents the coordinator
+  /// removed (their frames would be fenced anyway); agents the coordinator
   /// assigned to us whose ADOPT died with the old connection are rebuilt and
   /// crash-restarted — worst case the migrated learning is lost, which the
   /// handoff monitor reports, but the run stays live.
   void reconcile_ownership() {
     if (!spec_.migrate) return;
-    for (auto it = local_.begin(); it != local_.end();) {
-      if (spec_.owner_of(it->first) != static_cast<int>(shard_)) {
-        if (retransmit_ != nullptr) retransmit_->forget_agent(it->first);
-        capsule_hash_.erase(it->first);
-        it = local_.erase(it);
-      } else {
-        ++it;
+    for (AgentId a = 0; a < host_->num_agents(); ++a) {
+      if (spec_.owner_of(a) != static_cast<int>(shard_) &&
+          host_->agent(a) != nullptr) {
+        host_->remove_agent(a);
+        capsule_hash_.erase(a);
       }
     }
-    std::vector<AgentId> missing;
-    for (AgentId a = 0; a < num_agents_; ++a) {
-      if (spec_.owner_of(a) == static_cast<int>(shard_) && !is_local(a)) {
-        missing.push_back(a);
-      }
-    }
-    if (missing.empty()) return;
-    auto population = make_job_agents(spec_.bundle);
-    for (auto& agent : population) {
-      if (agent == nullptr) continue;
-      const AgentId id = agent->id();
-      if (std::find(missing.begin(), missing.end(), id) == missing.end()) {
-        continue;
-      }
-      sim::Agent* placed =
-          local_.emplace(id, std::move(agent)).first->second.get();
-      Sink sink(*this, id, /*tracking=*/true);
-      placed->crash_restart(sink);
-      metrics_.total_checks += placed->take_checks();
-    }
+    host_owned([](sim::Agent& agent, sim::MessageSink& sink) {
+      agent.crash_restart(sink);
+    });
   }
 
   // ----- outbound path ---------------------------------------------------
 
-  class Sink final : public sim::MessageSink {
-   public:
-    Sink(Worker& worker, AgentId sender, bool tracking)
-        : worker_(worker), sender_(sender), tracking_(tracking) {}
-    void send(AgentId to, sim::MessagePayload payload) override {
-      worker_.agent_send(sender_, to, std::move(payload), tracking_);
-    }
-
-   private:
-    Worker& worker_;
-    AgentId sender_;
-    bool tracking_;
-  };
-
-  /// A protocol send by local agent `from`: count it, track it, pass it
-  /// through the fault bridge, and enqueue the surviving copies.
-  void agent_send(AgentId from, AgentId to, sim::MessagePayload payload,
-                  bool tracking) {
-    ++metrics_.messages;
-    if (!tracking) ++metrics_.refresh_messages;
-    std::uint64_t track_seq = 0;
-    if (retransmit_ != nullptr && tracking) {
-      track_seq = retransmit_->track(from, to, payload, elapsed());
-    }
-    dispatch(from, to, std::move(payload), track_seq);
-  }
-
-  /// Fault-bridge + enqueue (shared by fresh sends and retransmissions).
-  void dispatch(AgentId from, AgentId to, sim::MessagePayload payload,
-                std::uint64_t track_seq) {
-    // Membership, not home shard: an adopted agent is local, a released one
-    // is remote — and membership can change again before the egress queue
-    // drains, so flush_egress re-checks at send time.
-    const bool remote = !is_local(to);
-    sim::ChannelVerdict verdict;  // default: one clean copy
-    if (plan_ != nullptr) verdict = plan_->on_send(from, to, elapsed());
-    if (verdict.copies == 0) return;
-    // Remote payloads always travel as sealed frames; local ones only when
-    // corruption is in play (mirroring AsyncEngine's wire_ activation).
-    // Encoded into the reusable scratch: steady state allocates nothing.
-    const bool framed =
-        remote || (plan_ != nullptr && plan_->config().corrupt_rate > 0);
-    if (framed) {
-      sim::encode_frame_into(payload, payload_scratch_);
-      if (verdict.corrupt) {
-        sim::corrupt_frame(payload_scratch_, verdict.corrupt_seed);
+  /// The carrier: move every copy the host emitted onto the egress heap, or
+  /// into the ack batch when it is an ack.
+  void drain_host() {
+    host_->drain([this](Copy& copy) {
+      if (copy.ack_of != 0) {
+        queue_ack(copy);
+        return;
       }
-    }
-    for (int copy = 0; copy < verdict.copies; ++copy) {
-      Unit unit;
       // Reordered copies skip the delay entirely, overtaking anything a
       // spike is holding back; real queueing provides the rest.
-      unit.due_ms = elapsed() + (verdict.reorder ? 0 : verdict.extra_delay);
-      unit.order = next_order_++;
-      unit.from = from;
-      unit.to = to;
-      unit.payload = payload;
-      if (framed) unit.frame = payload_scratch_;
-      unit.track_seq = track_seq;
-      egress_.push(std::move(unit));
-    }
+      egress_.push({host_->now() + (copy.reorder ? 0 : copy.extra_delay),
+                    next_order_++, std::move(copy)});
+    });
   }
 
   void flush_egress(std::int64_t now) {
-    while (!egress_.empty() && egress_.top().due_ms <= now) {
-      Unit unit = egress_.top();
+    while (!egress_.empty() && egress_.top().at <= now) {
+      sim::AgentHost::Timed unit = egress_.top();
       egress_.pop();
-      if (is_local(unit.to)) {
-        deliver_local(std::move(unit));
+      Copy& copy = unit.copy;
+      if (host_->agent(copy.to) != nullptr) {
+        deliver_local(copy.from, copy.to, copy.track_seq, copy.frame,
+                      copy.payload);
       } else {
-        // Enqueued while the target was still local (unframed fast path) but
-        // released before the flush: seal it for the wire now.
-        if (unit.frame.empty()) {
-          sim::encode_frame_into(unit.payload, unit.frame);
+        // Membership, not home shard, decides: an adopted agent is local, a
+        // released one remote. A copy the host left unsealed (corruption
+        // off) is sealed for the wire here.
+        if (copy.frame.empty()) {
+          sim::encode_frame_into(copy.payload, copy.frame);
         }
-        NetRoute route;
-        route.from = unit.from;
-        route.to = unit.to;
-        route.track_seq = unit.track_seq;
-        route.frame = std::move(unit.frame);
-        encode_net_frame_into(NetFrame{std::move(route)}, net_scratch_);
+        encode_net_frame_into(NetFrame{NetRoute{copy.from, copy.to,
+                                                copy.track_seq,
+                                                std::move(copy.frame)}},
+                              net_scratch_);
         send_net(net_scratch_);
       }
     }
@@ -505,10 +405,7 @@ class Worker {
     WireFrame raw;
     while (conn_->recv(raw)) {
       const NetDecodeResult decoded = decode_net_frame(raw);
-      if (!decoded.ok()) {
-        ++net_malformed_;
-        continue;
-      }
+      if (!decoded.ok()) continue;
       handle(*decoded.frame);
       if (stopping_) {
         pending_adopts_.clear();
@@ -523,20 +420,12 @@ class Worker {
 
   void handle(const NetFrame& frame) {
     if (const auto* route = std::get_if<NetRoute>(&frame)) {
-      Unit unit;
-      unit.from = route->from;
-      unit.to = route->to;
-      unit.track_seq = route->track_seq;
-      unit.frame = route->frame;
-      deliver_local(std::move(unit));
+      sim::MessagePayload payload;
+      deliver_local(route->from, route->to, route->track_seq, route->frame,
+                    payload);
     } else if (const auto* ack = std::get_if<NetAck>(&frame)) {
-      if (retransmit_ != nullptr) {
-        for (const NetAck::Entry& e : ack->entries) {
-          if (e.from >= 0 && e.from < num_agents_ && e.to >= 0 &&
-              e.to < num_agents_) {
-            retransmit_->ack(e.from, e.to, e.seq);
-          }
-        }
+      for (const NetAck::Entry& e : ack->entries) {
+        host_->ack(e.from, e.to, e.seq);
       }
     } else if (const auto* ping = std::get_if<NetPing>(&frame)) {
       NetPong pong{ping->nonce, ping->sent_ms};
@@ -561,10 +450,8 @@ class Worker {
   // ----- shard migration (docs/NETWORK.md §shard migration) --------------
 
   bool adopt_pending_for(AgentId id) const {
-    for (const NetAdopt& adopt : pending_adopts_) {
-      if (adopt.agent == id) return true;
-    }
-    return false;
+    return std::any_of(pending_adopts_.begin(), pending_adopts_.end(),
+                       [id](const NetAdopt& adopt) { return adopt.agent == id; });
   }
 
   /// Instantiate every batched adoption: one population build covers the
@@ -576,38 +463,38 @@ class Worker {
   /// and the monitor's handoff check reports it.
   void apply_adoptions() {
     std::vector<std::unique_ptr<sim::Agent>> population;
-    bool need_build = false;
-    for (const NetAdopt& adopt : pending_adopts_) {
-      if (adopt.agent >= 0 && adopt.agent < num_agents_ &&
-          !is_local(adopt.agent)) {
-        need_build = true;
-        break;
-      }
+    if (std::any_of(pending_adopts_.begin(), pending_adopts_.end(),
+                    [this](const NetAdopt& adopt) {
+                      return adopt.agent >= 0 && adopt.agent < host_->num_agents() &&
+                             host_->agent(adopt.agent) == nullptr;
+                    })) {
+      population = make_job_agents(spec_.bundle);
     }
-    if (need_build) population = make_job_agents(spec_.bundle);
+    host_->set_now(elapsed());
     for (const NetAdopt& adopt : pending_adopts_) {
-      if (adopt.agent < 0 || adopt.agent >= num_agents_) continue;
-      sim::Agent* agent = local_agent(adopt.agent);
+      if (adopt.agent < 0 || adopt.agent >= host_->num_agents()) continue;
+      sim::Agent* agent = host_->agent(adopt.agent);
       if (agent == nullptr) {
         for (auto& candidate : population) {
           if (candidate != nullptr && candidate->id() == adopt.agent) {
-            agent = candidate.get();
-            local_.emplace(adopt.agent, std::move(candidate));
+            agent = &host_->add_agent(std::move(candidate));
             break;
           }
         }
       }
       if (agent == nullptr) continue;
       agent->set_seq_floor(adopt.seq_floor);
-      Sink sink(*this, adopt.agent, /*tracking=*/true);
-      recovery::StateCapsule capsule;
-      if (adopt.have_capsule && recovery::decode_capsule(adopt.capsule, capsule) &&
-          capsule.agent == adopt.agent) {
-        agent->import_capsule(capsule.state, sink);
-      } else {
-        agent->crash_restart(sink);
-      }
-      metrics_.total_checks += agent->take_checks();
+      host_->act(*agent, [&adopt](sim::Agent& a, sim::MessageSink& sink) {
+        recovery::StateCapsule capsule;
+        if (adopt.have_capsule &&
+            recovery::decode_capsule(adopt.capsule, capsule) &&
+            capsule.agent == adopt.agent) {
+          a.import_capsule(capsule.state, sink);
+        } else {
+          a.crash_restart(sink);
+        }
+      });
+      drain_host();
       capsule_hash_.erase(adopt.agent);  // force a fresh upload next round
       NetAdoptAck ack;
       ack.agent = adopt.agent;
@@ -619,24 +506,25 @@ class Worker {
     pending_adopts_.clear();
     flush_egress(elapsed());
     // Frames that raced their target's adoption inside this drain batch.
-    std::vector<Unit> parked;
+    std::vector<Copy> parked;
     parked.swap(inbound_parked_);
-    for (Unit& unit : parked) deliver_local(std::move(unit));
+    for (Copy& c : parked) {
+      deliver_local(c.from, c.to, c.track_seq, c.frame, c.payload);
+    }
   }
 
   /// RELEASE: hand `id` back to the coordinator — final capsule out (so the
   /// re-homed copy resumes from our latest state, not a stale upload), then
-  /// erase. Duplicate releases are no-ops.
+  /// stop hosting it. Duplicate releases are no-ops.
   void release_agent(AgentId id) {
     // A RELEASE can land in the same drain batch as the ADOPT that gave us
     // the agent; honor the connection order before acting on it.
     if (adopt_pending_for(id)) apply_adoptions();
-    sim::Agent* agent = local_agent(id);
+    sim::Agent* agent = host_->agent(id);
     if (agent == nullptr) return;
     upload_capsule(*agent, /*release=*/true);
-    if (retransmit_ != nullptr) retransmit_->forget_agent(id);
+    host_->remove_agent(id);
     capsule_hash_.erase(id);
-    local_.erase(id);
   }
 
   /// Ship one agent's capsule to the coordinator. Routine (non-release)
@@ -667,82 +555,46 @@ class Worker {
     send_net(net_scratch_);
   }
 
-  /// Deliver one frame copy to a local agent — the exact AsyncEngine
-  /// receive path: quarantine check, checksum + semantic validation, crash
-  /// draw, dedup + ack, then receive/compute.
-  void deliver_local(Unit unit) {
-    // The guard and retransmit matrices are indexed by agent id; a forged
-    // out-of-range sender must be refused before touching either.
-    if (unit.from < 0 || unit.from >= num_agents_) return;
-    sim::Agent* agent = local_agent(unit.to);
-    if (agent == nullptr) {
+  /// Deliver one copy to a local agent through the host's pipeline (crash
+  /// draw, admission, dedup + ack, receive/compute).
+  void deliver_local(AgentId from, AgentId to, std::uint64_t track_seq,
+                     std::span<const std::uint64_t> frame,
+                     sim::MessagePayload& payload) {
+    if (host_->agent(to) == nullptr) {
       // Within one drain batch a route can be handled before the deferred
       // ADOPT that makes its target local (connection FIFO puts the ADOPT
       // first, batching reorders the application). Park and retry after the
       // adoptions apply; anything else is a mis-sharded route.
-      if (adopt_pending_for(unit.to) &&
-          inbound_parked_.size() < kInboundParkCap) {
-        inbound_parked_.push_back(std::move(unit));
+      if (adopt_pending_for(to) && inbound_parked_.size() < kInboundParkCap) {
+        inbound_parked_.push_back(
+            {from, to, payload, WireFrame(frame.begin(), frame.end()), track_seq});
       }
       return;
     }
-    const std::int64_t now = elapsed();
-
-    if (!unit.frame.empty() && !guard_->admit(unit.from, unit.to, now,
-                                              unit.frame, *limits_,
-                                              unit.payload)) {
-      return;  // no ack; a tracked frame is repaired by retransmission
-    }
-
-    const sim::CrashKind crash =
-        plan_ != nullptr ? plan_->on_deliver(unit.to) : sim::CrashKind::kNone;
-    if (crash != sim::CrashKind::kNone) {
-      Sink sink(*this, unit.to, /*tracking=*/true);
-      if (crash == sim::CrashKind::kAmnesia) {
-        if (retransmit_ != nullptr) retransmit_->forget_agent(unit.to);
-        agent->amnesia_restart(sink);
-      } else {
-        agent->crash_restart(sink);
-      }
-      metrics_.total_checks += agent->take_checks();
-      return;  // the in-flight message died with the crash
-    }
-
-    if (unit.track_seq != 0 && retransmit_ != nullptr) {
-      const bool duplicate =
-          retransmit_->mark_delivered(unit.from, unit.to, unit.track_seq);
-      send_ack(unit.from, unit.to, unit.track_seq);
-      if (duplicate) return;
-    }
-
-    Sink sink(*this, unit.to, /*tracking=*/true);
-    agent->receive(unit.payload);
-    agent->compute(sink);
-    metrics_.total_checks += agent->take_checks();
+    host_->set_now(elapsed());
+    const sim::AgentHost::Delivery delivery =
+        host_->deliver(from, to, track_seq, frame, payload);
+    drain_host();
+    if (delivery != sim::AgentHost::Delivery::kDelivered) return;
     ++processed_;
-    if (agent->detected_insoluble() && !insoluble_) {
+    const sim::Agent& agent = *host_->agent(to);
+    if (agent.detected_insoluble() && !insoluble_) {
       insoluble_ = true;
-      insoluble_agent_ = agent->id();
+      insoluble_agent_ = agent.id();
       send_stats(/*final_report=*/false);  // tell the coordinator promptly
     }
   }
 
-  /// Ack `seq` on channel (from, to) back to the original sender. The ack
-  /// is itself subject to the fault bridge on channel (to, from) — this
-  /// worker owns that stream because `to` is local. A corrupted ack is
-  /// unparseable to its receiver: modeled as lost (AsyncEngine::send_ack).
-  /// The verdict is drawn here, per ack; only the encoding of a surviving
-  /// remote ack is deferred to the batch flush.
-  void send_ack(AgentId from, AgentId to, std::uint64_t seq) {
-    sim::ChannelVerdict verdict;
-    if (plan_ != nullptr) verdict = plan_->on_send(to, from, elapsed());
-    if (verdict.copies == 0 || verdict.corrupt) return;
-    if (is_local(from)) {
-      if (retransmit_ != nullptr) retransmit_->ack(from, to, seq);
+  /// One ack copy from the host: `copy.from` acknowledges frame
+  /// `copy.ack_of` of channel (copy.to, copy.from). A local sender takes it
+  /// at once; a remote one gets it in the next ACK frame.
+  void queue_ack(const Copy& copy) {
+    if (host_->agent(copy.to) != nullptr) {
+      host_->ack(copy.to, copy.from, copy.ack_of);
       return;
     }
     std::vector<NetAck::Entry>& entries = pending_acks().entries;
-    entries.push_back({from, to, seq});
+    entries.push_back({copy.to, copy.from, copy.ack_of});
     if (entries.size() >= kAckBatchCap) flush_acks();
   }
 
@@ -759,38 +611,26 @@ class Worker {
 
   // ----- timers ----------------------------------------------------------
 
-  void tick(std::int64_t wall_now) {
-    (void)wall_now;
+  void tick() {
     const std::int64_t now = elapsed();
     flush_egress(now);
 
-    if (retransmit_ != nullptr) {
-      const auto due = retransmit_->next_deadline();
-      if (due.has_value() && *due <= now) {
-        for (const recovery::RetransmitBuffer::Due& d :
-             retransmit_->collect_due(now)) {
-          // Re-dispatch from the clean tracked payload: a corrupted original
-          // cannot poison its own repair.
-          dispatch(d.from, d.to, *d.payload, d.seq);
-        }
-        flush_egress(now);
-      }
-    }
-
+    host_->set_now(now);
+    host_->fire_retransmits();
     if (next_heartbeat_ms_ >= 0 && now >= next_heartbeat_ms_) {
-      for (auto& [id, agent] : local_) announce(*agent);
-      ++metrics_.heartbeats;
-      next_heartbeat_ms_ = now + heartbeat_period();
-      flush_egress(now);
+      host_->heartbeat_round();
+      next_heartbeat_ms_ = now + host_->refresh_interval();
     }
+    drain_host();
+    flush_egress(now);
 
     if (now >= next_report_ms_) {
       if (spec_.migrate) {
         // Report cadence doubles as the capsule upload cadence: the
         // coordinator's adoption source is at most one report round stale.
-        for (auto& [id, agent] : local_) {
-          upload_capsule(*agent, /*release=*/false);
-        }
+        host_->for_each_agent([this](sim::Agent& agent) {
+          upload_capsule(agent, /*release=*/false);
+        });
       }
       send_stats(/*final_report=*/false);
       next_report_ms_ = now + spec_.report_interval_ms;
@@ -800,39 +640,28 @@ class Worker {
     flush_acks();
   }
 
-  /// One untracked re-announcement round for `agent` (heartbeat repair).
-  void announce(sim::Agent& agent) {
-    Sink sink(*this, agent.id(), /*tracking=*/false);
-    agent.on_heartbeat(sink);
-    metrics_.total_checks += agent.take_checks();
-  }
-
-  std::int64_t wait_ms(std::int64_t wall_now) const {
-    (void)wall_now;
-    const std::int64_t now = steady_now_ms() - epoch_ms_;
+  std::int64_t wait_ms() const {
     std::int64_t next = next_report_ms_;
     if (next_heartbeat_ms_ >= 0) next = std::min(next, next_heartbeat_ms_);
-    if (!egress_.empty()) next = std::min(next, egress_.top().due_ms);
-    if (retransmit_ != nullptr) {
-      const auto due = retransmit_->next_deadline();
-      if (due.has_value()) next = std::min(next, *due);
-    }
-    return std::clamp<std::int64_t>(next - now, 0, 10);
+    if (!egress_.empty()) next = std::min(next, egress_.top().at);
+    if (const auto due = host_->next_retransmit()) next = std::min(next, *due);
+    return std::clamp<std::int64_t>(next - elapsed(), 0, 10);
   }
 
   // ----- reporting -------------------------------------------------------
 
-  sim::RunMetrics snapshot_metrics() {
-    sim::RunMetrics m = metrics_;
-    // Lifetime counter folds drops of *retired* connections; add the live one.
+  /// Lifetime counters: the host's fold plus this worker's backpressure
+  /// drops (retired connections and the live one).
+  sim::RunMetrics snapshot_metrics() const {
+    sim::RunMetrics m;
+    m.backpressure_drops = backpressure_drops_;
     if (conn_ != nullptr) m.backpressure_drops += conn_->dropped_frames();
-    sim::set_channel_counters(plan_.get(), retransmit_.get(), guard_.get(), m);
-    for (const auto& [id, agent] : local_) sim::add_agent_counters(*agent, m);
+    if (host_ != nullptr) host_->fold(m);
     return m;
   }
 
   void send_stats(bool final_report) {
-    // job_loaded_, not local_.empty(): a worker whose agents were all
+    // job_loaded_, not an empty host: a worker whose agents were all
     // released must keep reporting (idle) or the coordinator would wait on
     // its silence forever.
     if (conn_ == nullptr || !job_loaded_) return;
@@ -840,25 +669,24 @@ class Worker {
     stats.shard = shard_;
     stats.incarnation = incarnation_;
     stats.idle = processed_ == last_reported_processed_ && egress_.empty() &&
-                 (retransmit_ == nullptr ||
-                  !retransmit_->next_deadline().has_value());
+                 !host_->next_retransmit().has_value();
     stats.insoluble = insoluble_;
     stats.insoluble_agent = insoluble_agent_;
     stats.final_report = final_report;
-    stats.sent = metrics_.messages;
+    const sim::RunMetrics metrics = snapshot_metrics();
+    stats.sent = metrics.messages;
     stats.processed = processed_;
-    stats.metrics_words = encode_metrics_words(snapshot_metrics());
-    stats.values.reserve(local_.size());
-    for (const auto& [id, agent] : local_) {
-      stats.values.emplace_back(agent->variable(), agent->current_value());
-    }
+    stats.metrics_words = encode_metrics_words(metrics);
+    host_->for_each_agent([&stats](const sim::Agent& agent) {
+      stats.values.emplace_back(agent.variable(), agent.current_value());
+    });
     encode_net_frame_into(NetFrame{std::move(stats)}, net_scratch_);
     conn_->send(net_scratch_);
     last_reported_processed_ = processed_;
   }
 
   WorkerResult finish() {
-    result_.metrics = job_loaded_ ? snapshot_metrics() : metrics_;
+    result_.metrics = snapshot_metrics();
     return result_;
   }
 
@@ -880,29 +708,27 @@ class Worker {
   std::uint64_t incarnation_ = 1;
   std::uint64_t digest_ = 0;
   JobSpec spec_;
-  int num_agents_ = 0;
   bool job_loaded_ = false;
-  std::map<AgentId, std::unique_ptr<sim::Agent>> local_;
+  /// The local agents and their send/delivery/repair pipeline; rebuilt with
+  /// every shard build.
+  std::unique_ptr<sim::AgentHost> host_;
 
   // Shard-migration state (active only when spec_.migrate).
   static constexpr std::size_t kInboundParkCap = 4096;
   std::vector<NetAdopt> pending_adopts_;
-  std::vector<Unit> inbound_parked_;
+  std::vector<Copy> inbound_parked_;
   /// Digest of the last uploaded capsule per hosted agent (dedup).
   std::map<AgentId, std::uint64_t> capsule_hash_;
 
-  std::unique_ptr<sim::FaultPlan> plan_;
-  std::unique_ptr<recovery::RetransmitBuffer> retransmit_;
-  std::unique_ptr<sim::WireLimits> limits_;
-  std::unique_ptr<sim::ChannelGuard> guard_;
-
-  std::priority_queue<Unit, std::vector<Unit>, UnitLater> egress_;
+  /// Copies awaiting dispatch (a local delivery or a route to the
+  /// coordinator), some held back by a delay spike.
+  sim::AgentHost::TimedQueue egress_;
   std::uint64_t next_order_ = 0;
 
-  sim::RunMetrics metrics_;
+  /// Frames dropped at the orphan buffer and by retired connections.
+  std::uint64_t backpressure_drops_ = 0;
   std::uint64_t processed_ = 0;
   std::uint64_t last_reported_processed_ = 0;
-  std::uint64_t net_malformed_ = 0;
   bool insoluble_ = false;
   AgentId insoluble_agent_ = kNoAgent;
   bool stopping_ = false;
@@ -918,7 +744,6 @@ class Worker {
   /// Reusable encode scratch for outbound frames (capacity persists, so the
   /// steady-state hot path allocates nothing).
   WireFrame net_scratch_;
-  WireFrame payload_scratch_;
   /// Remote acks of the current drain, held as a NetFrame so the flush
   /// encodes it in place (capacity persists across flushes).
   NetFrame ack_batch_{NetAck{}};
@@ -927,13 +752,6 @@ class Worker {
   std::uint64_t coord_incarnation_ = 0;
   std::int64_t next_heartbeat_ms_ = -1;
   std::int64_t next_report_ms_ = 0;
-
-  std::int64_t heartbeat_period() const {
-    // Heartbeats are repair traffic; like AsyncEngine they only run when
-    // faults can make messages disappear. Process death is repaired by the
-    // retransmit layer and the crash_restart re-announcement protocol.
-    return plan_ != nullptr ? spec_.bundle.faults.refresh_interval : 0;
-  }
 };
 
 }  // namespace

@@ -1,34 +1,23 @@
 // The worker side of the multi-process runtime (docs/NETWORK.md).
 //
 // run_worker connects to the coordinator, handshakes (HELLO/WELCOME/JOB),
-// builds the agents of its assigned shard from the job spec, and enters the
-// event loop: deliver routed frames to local agents (after the same
-// checksum + semantic validation the in-process engines perform), route
-// their outbound messages, run the ack/retransmit failure detector and the
-// anti-entropy heartbeat, and report NetStats on the spec's cadence until
-// the coordinator says STOP.
+// hosts the agents of its assigned shard in a sim::AgentHost, and runs the
+// event loop until the coordinator says STOP. The host is the same send,
+// delivery and repair pipeline AsyncEngine runs (seeded FaultPlan, sealed
+// frames and admission, ack/retransmit, heartbeats); the worker adds its
+// carrier (an egress heap, ROUTE frames, batched ACK frames), NetStats
+// reports and the control plane (adopt, release, reconcile).
 //
-// The fault bridge makes chaos identical to the in-process engines: every
-// send by a local agent consults the same seeded FaultPlan (this worker owns
-// the channel streams of its local senders and the crash streams of its
-// local receivers), payloads travel as sealed WireFrames, and injected
-// corruption must be caught by the receiving worker's decode_frame exactly
-// like in AsyncEngine.
-//
-// A lost connection parks the worker in an "orphaned" state instead of
-// killing it: local agents and their search state stay warm (timers,
-// retransmit deadlines and heartbeats keep running), outbound remote frames
-// collect in a bounded buffer (overflow is counted as backpressure_drops and
-// repaired by retransmission), and the worker re-rendezvouses through the
-// ReconnectPolicy backoff — re-reading the coordinator's port file before
-// every attempt when one is configured, so it finds a *restarted*
-// coordinator on a fresh port. The re-handshake is the ordinary
-// continuation attach (the HELLO's digest proves the worker still holds the
-// job); a WELCOME from a coordinator incarnation older than one this worker
-// has already seen is refused as a stale zombie. A worker *process* death is
-// the coordinator's problem: the replacement attaches, receives
-// restart=true plus seq floors, rebuilds its shard and recovers via
-// crash_restart.
+// A lost connection parks the worker "orphaned": its agents stay warm and
+// its timers keep running, outbound remote frames collect in a bounded
+// buffer (overflow counts as backpressure_drops and is repaired by
+// retransmission), and the worker re-rendezvouses on the ReconnectPolicy
+// backoff, re-reading the coordinator's port file before every attempt so
+// it finds a restarted coordinator on a fresh port. A WELCOME from a
+// coordinator incarnation older than one already seen is refused as a
+// stale zombie. A worker process death is the coordinator's problem: the
+// replacement attaches, receives restart=true plus seq floors, rebuilds its
+// shard and recovers via crash_restart.
 #pragma once
 
 #include <cstdint>

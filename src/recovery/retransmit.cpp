@@ -98,7 +98,6 @@ void RetransmitBuffer::pop_deadline() const {
 std::uint64_t RetransmitBuffer::track(AgentId from, AgentId to,
                                       const sim::MessagePayload& payload,
                                       std::int64_t now) {
-  std::lock_guard lock(mutex_);
   Channel& ch = channel(from, to);
   const std::uint64_t seq = ch.next_seq++;
   Pending pending;
@@ -112,12 +111,10 @@ std::uint64_t RetransmitBuffer::track(AgentId from, AgentId to,
 }
 
 void RetransmitBuffer::ack(AgentId from, AgentId to, std::uint64_t seq) {
-  std::lock_guard lock(mutex_);
   pending_count_ -= channel(from, to).pending.erase(seq);
 }
 
 bool RetransmitBuffer::mark_delivered(AgentId from, AgentId to, std::uint64_t seq) {
-  std::lock_guard lock(mutex_);
   Channel& ch = channel(from, to);
   if (ch.delivered(seq)) return true;
   if (seq != ch.delivered_floor + 1) {
@@ -135,19 +132,16 @@ bool RetransmitBuffer::mark_delivered(AgentId from, AgentId to, std::uint64_t se
 }
 
 std::size_t RetransmitBuffer::delivered_above_floor(AgentId from, AgentId to) const {
-  std::lock_guard lock(mutex_);
   return channel(from, to).delivered_above.size();
 }
 
 std::optional<std::int64_t> RetransmitBuffer::next_deadline() const {
-  std::lock_guard lock(mutex_);
   while (!deadlines_.empty() && !live(deadlines_.front())) pop_deadline();
   if (deadlines_.empty()) return std::nullopt;
   return deadlines_.front().at;
 }
 
 std::vector<RetransmitBuffer::Due> RetransmitBuffer::collect_due(std::int64_t now) {
-  std::lock_guard lock(mutex_);
   std::vector<Deadline> fired;
   while (!deadlines_.empty() && deadlines_.front().at <= now) {
     if (live(deadlines_.front())) fired.push_back(deadlines_.front());
@@ -191,7 +185,6 @@ std::vector<RetransmitBuffer::Due> RetransmitBuffer::collect_due(std::int64_t no
 }
 
 void RetransmitBuffer::forget_agent(AgentId agent) {
-  std::lock_guard lock(mutex_);
   if (agent < 0 || agent >= num_agents_) {
     throw std::out_of_range("retransmit buffer consulted for an unknown agent");
   }
@@ -207,19 +200,6 @@ void RetransmitBuffer::forget_agent(AgentId agent) {
     in.delivered_floor = 0;
     in.delivered_above.clear();
   }
-}
-
-std::uint64_t RetransmitBuffer::retransmissions() const {
-  std::lock_guard lock(mutex_);
-  return retransmissions_;
-}
-std::uint64_t RetransmitBuffer::false_positives() const {
-  std::lock_guard lock(mutex_);
-  return false_positives_;
-}
-std::uint64_t RetransmitBuffer::gave_up() const {
-  std::lock_guard lock(mutex_);
-  return gave_up_;
 }
 
 }  // namespace discsp::recovery

@@ -24,14 +24,13 @@
 // deliveries run out of order rather than by run length.
 //
 // The buffer is engine-agnostic: AsyncEngine interprets times as virtual
-// ticks, the serve worker as milliseconds. Each run drives its buffer from
-// one thread; the entry points stay thread-safe all the same.
+// ticks, the serve worker as milliseconds. Each run's sim::AgentHost drives
+// its buffer from one thread.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <set>
 #include <vector>
@@ -69,8 +68,6 @@ struct RetransmitConfig {
 class RetransmitBuffer {
  public:
   RetransmitBuffer(const RetransmitConfig& config, int num_agents);
-
-  const RetransmitConfig& config() const { return config_; }
 
   /// Sender side: track one send on channel (from, to) at time `now`.
   /// Returns the channel sequence number (>= 1) to stamp on the frame.
@@ -121,9 +118,9 @@ class RetransmitBuffer {
   void forget_agent(AgentId agent);
 
   // Lifetime counters.
-  std::uint64_t retransmissions() const;
-  std::uint64_t false_positives() const;
-  std::uint64_t gave_up() const;
+  std::uint64_t retransmissions() const { return retransmissions_; }
+  std::uint64_t false_positives() const { return false_positives_; }
+  std::uint64_t gave_up() const { return gave_up_; }
 
  private:
   struct Pending {
@@ -168,7 +165,6 @@ class RetransmitBuffer {
   /// entries; compacted once stale entries outnumber live ones.
   mutable std::vector<Deadline> deadlines_;
   std::size_t pending_count_ = 0;
-  mutable std::mutex mutex_;
 
   std::uint64_t retransmissions_ = 0;
   std::uint64_t false_positives_ = 0;

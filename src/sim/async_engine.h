@@ -7,31 +7,25 @@
 // preserved, and agents are activated one delivery at a time. Used by tests
 // to show the algorithms still solve (the paper's §5 future-work analysis).
 //
-// With a fault plan (config.faults, see sim/fault.h) the engine additionally
-// drops, duplicates and reorders messages, injects delay spikes, crash-
-// restarts (or amnesia-crashes) receivers, and fires periodic anti-entropy
-// heartbeats so hardened protocols can repair the losses. A disabled fault
-// config leaves every code path and random draw identical to the fault-free
-// engine.
-//
-// With config.retransmit enabled on top of a fault plan, the engine also runs
-// a failure detector (see recovery/retransmit.h): protocol sends are stamped
-// with per-channel sequence numbers, receivers return ack frames (which
-// themselves traverse the lossy channel), unacked sends are retransmitted
-// under exponential backoff, and duplicate frames are suppressed before the
-// agent sees them. The heartbeat then acts only as the low-rate fallback for
-// sends the detector gave up on.
+// The engine is an AgentHost (sim/agent_host.h) plus a virtual-time event
+// queue: the host runs the send, delivery and repair pipeline shared with
+// the serve worker, and the engine adds latency, per-channel FIFO floors,
+// the snapshot solution test and termination. With a fault plan
+// (config.faults, see sim/fault.h) messages are dropped, duplicated,
+// reordered, delayed and corrupted, receivers crash-restart (or amnesia-
+// crash), and periodic anti-entropy heartbeats repair the losses. With
+// config.retransmit enabled on top of a fault plan, tracked sends are acked
+// and retransmitted under backoff (see recovery/retransmit.h), and the
+// heartbeat stays as the low-rate fallback for sends the detector gave up
+// on. A disabled fault config leaves every code path and random draw
+// identical to the fault-free engine.
 #pragma once
 
 #include <memory>
 #include <vector>
 
 #include "common/rng.h"
-#include "recovery/retransmit.h"
-#include "sim/agent.h"
-#include "sim/fault.h"
-#include "sim/metrics.h"
-#include "sim/monitor.h"
+#include "sim/agent_host.h"
 
 namespace discsp::sim {
 
@@ -56,7 +50,6 @@ class AsyncEngine {
  public:
   AsyncEngine(const Problem& problem, std::vector<std::unique_ptr<Agent>> agents,
               AsyncConfig config, Rng rng);
-  ~AsyncEngine();
 
   /// Run to solution / insolubility / quiescence / activation cap. In the
   /// returned metrics, `cycles` is the number of activations and `maxcck`
@@ -64,25 +57,15 @@ class AsyncEngine {
   RunResult run();
 
   /// Virtual time of the last delivered message.
-  std::int64_t virtual_time() const { return now_; }
+  std::int64_t virtual_time() const { return host_.now(); }
 
  private:
   const Problem& problem_;
-  std::vector<std::unique_ptr<Agent>> agents_;
   AsyncConfig config_;
   Rng rng_;
-  std::int64_t now_ = 0;
-  /// Present only when config_.faults.enabled().
-  std::unique_ptr<FaultPlan> plan_;
-  /// Present only when the plan is and config_.retransmit.enabled().
-  std::unique_ptr<recovery::RetransmitBuffer> retransmit_;
   /// Present only when config_.monitor.enabled.
   std::unique_ptr<InvariantMonitor> monitor_;
-  /// Wire-format state, present only when the plan is and corruption can
-  /// fire (config_.faults.corrupt_rate > 0): payloads then travel as
-  /// checksummed frames that receivers must validate before delivery.
-  std::unique_ptr<WireLimits> wire_;
-  std::unique_ptr<ChannelGuard> guard_;
+  AgentHost host_;
 };
 
 }  // namespace discsp::sim

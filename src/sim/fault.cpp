@@ -110,47 +110,41 @@ ChannelVerdict FaultPlan::on_send(AgentId from, AgentId to, std::int64_t now) {
   // per-channel streams (an empty schedule is then stream-bit-identical).
   if (partitions_.severed(from, to, now)) {
     verdict.copies = 0;
-    partition_drops_.fetch_add(1, std::memory_order_relaxed);
+    ++counts_.partition_drops;
     return verdict;
   }
-  {
-    std::lock_guard lock(mutex_);
-    Rng& rng = channels_[static_cast<std::size_t>(from) *
-                             static_cast<std::size_t>(num_agents_) +
-                         static_cast<std::size_t>(to)]
-                   .rng;
-    // One draw per knob per send keeps the stream alignment independent of
-    // which faults are enabled at which rates. The corruption draws are the
-    // exception: they only exist when corrupt_rate > 0, so every
-    // corruption-free config keeps the historical stream alignment.
-    const bool drop = rng.chance(config_.drop_rate);
-    const bool dup = rng.chance(config_.duplicate_rate);
-    const bool reorder = rng.chance(config_.reorder_rate);
-    const bool spike = rng.chance(config_.delay_spike_rate);
-    if (drop) {
-      verdict.copies = 0;
-    } else if (dup) {
-      verdict.copies = 2;
-    }
-    verdict.reorder = verdict.copies > 0 && reorder;
-    verdict.extra_delay = (verdict.copies > 0 && spike) ? config_.delay_spike : 0;
-    if (config_.corrupt_rate > 0) {
-      const bool corrupt = rng.chance(config_.corrupt_rate);
-      if (corrupt && verdict.copies > 0) {
-        verdict.corrupt = true;
-        verdict.corrupt_seed = rng.next();
-      }
+  Rng& rng = channels_[static_cast<std::size_t>(from) *
+                           static_cast<std::size_t>(num_agents_) +
+                       static_cast<std::size_t>(to)]
+                 .rng;
+  // One draw per knob per send keeps the stream alignment independent of
+  // which faults are enabled at which rates. The corruption draws are the
+  // exception: they only exist when corrupt_rate > 0, so every
+  // corruption-free config keeps the historical stream alignment.
+  const bool drop = rng.chance(config_.drop_rate);
+  const bool dup = rng.chance(config_.duplicate_rate);
+  const bool reorder = rng.chance(config_.reorder_rate);
+  const bool spike = rng.chance(config_.delay_spike_rate);
+  if (drop) {
+    verdict.copies = 0;
+  } else if (dup) {
+    verdict.copies = 2;
+  }
+  verdict.reorder = verdict.copies > 0 && reorder;
+  verdict.extra_delay = (verdict.copies > 0 && spike) ? config_.delay_spike : 0;
+  if (config_.corrupt_rate > 0) {
+    const bool corrupt = rng.chance(config_.corrupt_rate);
+    if (corrupt && verdict.copies > 0) {
+      verdict.corrupt = true;
+      verdict.corrupt_seed = rng.next();
     }
   }
-  if (verdict.copies == 0) dropped_.fetch_add(1, std::memory_order_relaxed);
-  if (verdict.copies > 1) duplicated_.fetch_add(1, std::memory_order_relaxed);
-  if (verdict.reorder) reordered_.fetch_add(1, std::memory_order_relaxed);
-  if (verdict.extra_delay > 0) delay_spikes_.fetch_add(1, std::memory_order_relaxed);
-  if (verdict.corrupt) {
-    // Every enqueued copy of a corrupted send carries the mutated frame.
-    corrupted_.fetch_add(static_cast<std::uint64_t>(verdict.copies),
-                         std::memory_order_relaxed);
-  }
+  if (verdict.copies == 0) ++counts_.dropped;
+  if (verdict.copies > 1) ++counts_.duplicated;
+  if (verdict.reorder) ++counts_.reordered;
+  if (verdict.extra_delay > 0) ++counts_.delay_spikes;
+  // Every enqueued copy of a corrupted send carries the mutated frame.
+  if (verdict.corrupt) counts_.corrupted += static_cast<std::uint64_t>(verdict.copies);
   return verdict;
 }
 
@@ -159,44 +153,30 @@ CrashKind FaultPlan::on_deliver(AgentId to) {
     throw std::out_of_range("fault plan consulted for an unknown agent");
   }
   CrashKind kind = CrashKind::kNone;
-  {
-    std::lock_guard lock(mutex_);
-    AgentState& agent = agents_[static_cast<std::size_t>(to)];
-    // One draw per knob per delivery keeps the stream alignment independent
-    // of which crash flavors are enabled; restart and amnesia share the
-    // per-agent budget.
-    const bool restart = agent.rng.chance(config_.crash_rate);
-    const bool amnesia = agent.rng.chance(config_.amnesia_rate);
-    if (agent.crashes < config_.max_crashes_per_agent) {
-      if (restart) {
-        kind = CrashKind::kRestart;
-      } else if (amnesia) {
-        kind = CrashKind::kAmnesia;
-      }
+  AgentState& agent = agents_[static_cast<std::size_t>(to)];
+  // One draw per knob per delivery keeps the stream alignment independent
+  // of which crash flavors are enabled; restart and amnesia share the
+  // per-agent budget.
+  const bool restart = agent.rng.chance(config_.crash_rate);
+  const bool amnesia = agent.rng.chance(config_.amnesia_rate);
+  if (agent.crashes < config_.max_crashes_per_agent) {
+    if (restart) {
+      kind = CrashKind::kRestart;
+    } else if (amnesia) {
+      kind = CrashKind::kAmnesia;
     }
-    if (kind != CrashKind::kNone) ++agent.crashes;
   }
-  if (kind == CrashKind::kRestart) crashes_.fetch_add(1, std::memory_order_relaxed);
-  if (kind == CrashKind::kAmnesia) amnesia_.fetch_add(1, std::memory_order_relaxed);
+  if (kind != CrashKind::kNone) ++agent.crashes;
+  if (kind == CrashKind::kRestart) ++counts_.crashes;
+  if (kind == CrashKind::kAmnesia) ++counts_.amnesia;
   return kind;
 }
 
 FaultSummary FaultPlan::summary() const {
-  FaultSummary s;
-  s.dropped = dropped_.load(std::memory_order_relaxed);
-  s.duplicated = duplicated_.load(std::memory_order_relaxed);
-  s.reordered = reordered_.load(std::memory_order_relaxed);
-  s.delay_spikes = delay_spikes_.load(std::memory_order_relaxed);
-  s.partition_drops = partition_drops_.load(std::memory_order_relaxed);
-  s.corrupted = corrupted_.load(std::memory_order_relaxed);
-  s.crashes = crashes_.load(std::memory_order_relaxed);
-  s.amnesia = amnesia_.load(std::memory_order_relaxed);
+  FaultSummary s = counts_;
   s.crashes_by_agent.reserve(agents_.size());
-  {
-    std::lock_guard lock(mutex_);
-    for (const AgentState& agent : agents_) {
-      s.crashes_by_agent.push_back(agent.crashes);
-    }
+  for (const AgentState& agent : agents_) {
+    s.crashes_by_agent.push_back(agent.crashes);
   }
   return s;
 }

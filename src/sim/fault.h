@@ -7,8 +7,8 @@
 // duplicated, allowed to overtake earlier traffic on its channel (relaxing
 // per-channel FIFO), hit by a delay spike, or corrupted on the wire, and
 // whether a delivery first crash-restarts its receiver (losing volatile
-// state). AsyncEngine and the serve worker consult the same plan through the
-// same two hooks, so the fault taxonomy and its counters are
+// state). AsyncEngine and the serve worker both consult it from one
+// sim::AgentHost, so the fault taxonomy and its counters are
 // engine-independent.
 //
 // On top of the independent per-message faults, a PartitionSchedule injects
@@ -32,9 +32,7 @@
 // docs/FAULT_MODEL.md for the full model.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <vector>
 
 #include "common/options.h"
@@ -190,16 +188,14 @@ class FaultPlan {
   FaultPlan(const FaultConfig& config, int num_agents);
 
   const FaultConfig& config() const { return config_; }
-  const PartitionSchedule& partitions() const { return partitions_; }
 
   /// Decide the fate of one send on channel (from, to) at time `now`.
-  /// Thread-safe; the decision depends only on (seed, from, to, per-channel
-  /// send index) — and, for the partition cut, on `now` alone. A send
+  /// The decision depends only on (seed, from, to, per-channel send index) — and, for the partition cut, on `now` alone. A send
   /// severed by an open partition window consumes no channel stream state.
   ChannelVerdict on_send(AgentId from, AgentId to, std::int64_t now = 0);
 
   /// Decide whether the receiver crashes before this delivery, and how badly.
-  /// Thread-safe; depends only on (seed, to, per-agent delivery index).
+  /// Depends only on (seed, to, per-agent delivery index).
   CrashKind on_deliver(AgentId to);
 
   FaultSummary summary() const;
@@ -218,16 +214,8 @@ class FaultPlan {
   PartitionSchedule partitions_;
   std::vector<ChannelState> channels_;  // num_agents^2, row-major by sender
   std::vector<AgentState> agents_;
-  mutable std::mutex mutex_;
-
-  std::atomic<std::uint64_t> dropped_{0};
-  std::atomic<std::uint64_t> duplicated_{0};
-  std::atomic<std::uint64_t> reordered_{0};
-  std::atomic<std::uint64_t> delay_spikes_{0};
-  std::atomic<std::uint64_t> partition_drops_{0};
-  std::atomic<std::uint64_t> corrupted_{0};
-  std::atomic<std::uint64_t> crashes_{0};
-  std::atomic<std::uint64_t> amnesia_{0};
+  /// Running totals; summary() adds the per-agent crash histogram.
+  FaultSummary counts_;
 };
 
 /// Build a FaultConfig from the shared repro knobs (--fault-drop etc.; see

@@ -299,43 +299,41 @@ void corrupt_frame(WireFrame& frame, std::uint64_t seed) {
 
 ChannelGuard::ChannelGuard(int num_agents, int budget, std::int64_t duration)
     : num_agents_(num_agents), budget_(budget), duration_(duration),
-      channels_(static_cast<std::size_t>(num_agents) *
-                static_cast<std::size_t>(num_agents)) {}
+      channels_(budget > 0 ? static_cast<std::size_t>(num_agents) *
+                                 static_cast<std::size_t>(num_agents)
+                           : 0) {}
+
+ChannelGuard::Channel* ChannelGuard::channel(AgentId from, AgentId to) {
+  if (budget_ <= 0 || from < 0 || from >= num_agents_ || to < 0 ||
+      to >= num_agents_) {
+    return nullptr;
+  }
+  return &channels_[static_cast<std::size_t>(from) *
+                        static_cast<std::size_t>(num_agents_) +
+                    static_cast<std::size_t>(to)];
+}
 
 bool ChannelGuard::record_malformed(AgentId from, AgentId to, std::int64_t now) {
-  malformed_.fetch_add(1, std::memory_order_relaxed);
-  if (budget_ <= 0) return false;
-  if (from < 0 || from >= num_agents_ || to < 0 || to >= num_agents_) {
-    return false;
-  }
-  std::lock_guard lock(mutex_);
-  Channel& ch = channels_[static_cast<std::size_t>(from) *
-                              static_cast<std::size_t>(num_agents_) +
-                          static_cast<std::size_t>(to)];
-  if (++ch.malformed_in_window > budget_) {
-    ch.malformed_in_window = 0;
-    ch.quarantined_until = now + duration_;
-    quarantines_.fetch_add(1, std::memory_order_relaxed);
+  ++malformed_;
+  Channel* ch = channel(from, to);
+  if (ch == nullptr) return false;
+  if (++ch->malformed_in_window > budget_) {
+    ch->malformed_in_window = 0;
+    ch->quarantined_until = now + duration_;
+    ++quarantines_;
     return true;
   }
   return false;
 }
 
 bool ChannelGuard::is_quarantined(AgentId from, AgentId to, std::int64_t now) {
-  if (budget_ <= 0) return false;
-  if (from < 0 || from >= num_agents_ || to < 0 || to >= num_agents_) {
-    return false;
-  }
-  std::lock_guard lock(mutex_);
-  Channel& ch = channels_[static_cast<std::size_t>(from) *
-                              static_cast<std::size_t>(num_agents_) +
-                          static_cast<std::size_t>(to)];
-  if (ch.quarantined_until < 0) return false;
-  if (now < ch.quarantined_until) return true;
+  Channel* ch = channel(from, to);
+  if (ch == nullptr || ch->quarantined_until < 0) return false;
+  if (now < ch->quarantined_until) return true;
   // Window elapsed: readmit the channel with a fresh malformed budget.
-  ch.quarantined_until = -1;
-  ch.malformed_in_window = 0;
-  readmissions_.fetch_add(1, std::memory_order_relaxed);
+  ch->quarantined_until = -1;
+  ch->malformed_in_window = 0;
+  ++readmissions_;
   return false;
 }
 
@@ -343,7 +341,7 @@ bool ChannelGuard::admit(AgentId from, AgentId to, std::int64_t now,
                          std::span<const std::uint64_t> frame,
                          const WireLimits& limits, MessagePayload& payload) {
   if (is_quarantined(from, to, now)) {
-    quarantine_drops_.fetch_add(1, std::memory_order_relaxed);
+    ++quarantine_drops_;
     return false;
   }
   DecodeResult decoded = decode_frame(frame, limits);

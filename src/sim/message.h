@@ -15,9 +15,7 @@
 // quarantines channels that exceed a malformed-frame budget.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
@@ -74,11 +72,6 @@ struct ImproveMessage {
 };
 
 using MessagePayload = std::variant<OkMessage, NogoodMessage, AddLinkMessage, ImproveMessage>;
-
-struct Envelope {
-  AgentId to = kNoAgent;
-  MessagePayload payload;
-};
 
 /// Debug rendering ("ok?(a3: x3=1 prio 2)" etc.).
 std::string to_string(const MessagePayload& payload);
@@ -183,8 +176,7 @@ void corrupt_frame(WireFrame& frame, std::uint64_t seed);
 /// Receiver-side defense policy: counts malformed frames per channel and
 /// quarantines a channel whose count exceeds `budget` within one window;
 /// after `duration` the channel is readmitted and its budget resets.
-/// Thread-safe, though each runtime (AsyncEngine, a serve worker) drives its
-/// guard from one thread.
+/// Each run's sim::AgentHost drives its guard from one thread.
 class ChannelGuard {
  public:
   /// `budget` 0 = count malformed frames but never quarantine.
@@ -206,20 +198,12 @@ class ChannelGuard {
              std::span<const std::uint64_t> frame, const WireLimits& limits,
              MessagePayload& payload);
 
-  std::uint64_t malformed_frames() const {
-    return malformed_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t quarantines() const {
-    return quarantines_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t quarantine_drops() const {
-    return quarantine_drops_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t malformed_frames() const { return malformed_; }
+  std::uint64_t quarantines() const { return quarantines_; }
+  std::uint64_t quarantine_drops() const { return quarantine_drops_; }
   /// Channels readmitted after their quarantine window elapsed cleanly —
   /// the recovery half of `quarantines()`.
-  std::uint64_t readmissions() const {
-    return readmissions_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t readmissions() const { return readmissions_; }
 
  private:
   struct Channel {
@@ -230,12 +214,16 @@ class ChannelGuard {
   int num_agents_;
   int budget_;
   std::int64_t duration_;
-  std::vector<Channel> channels_;  // num_agents^2, row-major by sender
-  std::mutex mutex_;
-  std::atomic<std::uint64_t> malformed_{0};
-  std::atomic<std::uint64_t> quarantines_{0};
-  std::atomic<std::uint64_t> quarantine_drops_{0};
-  std::atomic<std::uint64_t> readmissions_{0};
+  /// The tracked channel (from, to); null when quarantine is off or an id
+  /// is out of range.
+  Channel* channel(AgentId from, AgentId to);
+
+  /// num_agents^2, row-major by sender; empty when quarantine is off.
+  std::vector<Channel> channels_;
+  std::uint64_t malformed_ = 0;
+  std::uint64_t quarantines_ = 0;
+  std::uint64_t quarantine_drops_ = 0;
+  std::uint64_t readmissions_ = 0;
 };
 
 }  // namespace discsp::sim

@@ -10,13 +10,7 @@
 #include "sim/fault.h"
 #include "sim/monitor.h"
 
-namespace discsp::recovery {
-class RetransmitBuffer;
-}
-
 namespace discsp::sim {
-
-class ChannelGuard;
 
 struct RunMetrics {
   int cycles = 0;
@@ -141,14 +135,6 @@ inline void merge_metrics(RunMetrics& into, const RunMetrics& add) {
       },
       into, add);
 }
-
-/// Set the channel-layer totals of `m` — `faults` from the fault plan,
-/// resends and false positives from the retransmit buffer, malformed frames,
-/// quarantines, quarantine drops and readmissions from the guard. A null
-/// source leaves its counters alone. Every runtime reports through this.
-void set_channel_counters(const FaultPlan* plan,
-                          const recovery::RetransmitBuffer* retransmit,
-                          const ChannelGuard* guard, RunMetrics& m);
 
 struct RunResult {
   RunMetrics metrics;

@@ -393,6 +393,15 @@ TEST(NetFrame, RejectsOutOfBoundsFields) {
     EXPECT_EQ(decode_net_frame(encode_net_frame(error)).error,
               NetDecodeError::kBadBounds);
   }
+  {
+    // A route carries a sealed payload frame; the receiving worker admits
+    // only a non-empty one, so an empty frame is refused here.
+    NetRoute route;
+    route.from = 0;
+    route.to = 1;
+    EXPECT_EQ(decode_net_frame(encode_net_frame(route)).error,
+              NetDecodeError::kBadBounds);
+  }
 }
 
 TEST(NetFrame, FuzzTruncatedPrefixesNeverDecode) {

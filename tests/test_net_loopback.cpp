@@ -23,6 +23,8 @@
 //    zero monitor violations — nogood conservation checked per adoption;
 //  - migration composes with coordinator failover: journaled r-assign
 //    records replay the ownership overrides across a resume;
+//  - a worker lost before a coordinator halt is declared lost by the
+//    resumed coordinator, and its agents are adopted by the survivors;
 //  - a worker whose coordinator never returns exhausts its reconnect budget
 //    and reports gave_up with a human-readable verdict.
 #include <gtest/gtest.h>
@@ -708,6 +710,83 @@ TEST(NetLoopbackChaos, MigrationAndFailoverCompose) {
     EXPECT_TRUE(results[static_cast<std::size_t>(i)].completed)
         << results[static_cast<std::size_t>(i)].error;
     EXPECT_EQ(results[static_cast<std::size_t>(i)].stop, StopReason::kSolved);
+  }
+  std::remove(journal.c_str());
+}
+
+TEST(NetLoopbackChaos, ResumedCoordinatorAdoptsAWorkerLostBeforeTheHalt) {
+  // A worker dies early and never comes back, and the coordinator halts
+  // before the dead window (dead_after_ms) could expire, so the halt always
+  // beats the loss declaration. No slot is attached in the resumed
+  // incarnation, so it has to start the loss clock itself: it must declare
+  // the dead slot lost, hand its agents to the survivors and solve. The
+  // early kill leaves the victim's agents frozen near their initial values
+  // under 35% drops, which the survivors do not solve around before the
+  // halt.
+  const std::string journal =
+      (std::filesystem::temp_directory_path() / "discsp_lost_before_halt.journal")
+          .string();
+  std::remove(journal.c_str());
+
+  net::InProcTransport transport;
+  ServeConfig config;
+  config.job = make_job(60, 91, 3);
+  config.job.bundle.faults.drop_rate = 0.35;
+  config.job.bundle.faults.refresh_interval = 25;
+  config.deadline_ms = 20000;
+  config.journal_path = journal;
+  config.migrate_after_dead = true;
+  config.supervisor.suspect_after_ms = 150;
+  config.supervisor.dead_after_ms = 1500;
+  config.halt_after_ms = 300;
+
+  std::vector<WorkerResult> results(3);
+  std::vector<std::thread> threads;
+  for (int i = 0; i < 2; ++i) {
+    WorkerConfig wc = worker_config("lost-before-halt", i);
+    wc.max_connect_attempts = 100;
+    wc.connect_timeout_ms = 500;
+    threads.emplace_back([&transport, &results, wc, i] {
+      results[static_cast<std::size_t>(i)] = net::run_worker(transport, wc);
+    });
+  }
+  threads.emplace_back([&transport, &results] {
+    WorkerConfig victim = worker_config("lost-before-halt", 2);
+    victim.exit_after_ms = 20;
+    results[2] = net::run_worker(transport, victim);
+  });
+
+  ServeResult first;
+  {
+    auto listener = transport.listen("lost-before-halt");
+    first = net::serve(*listener, config);
+  }
+  threads[2].join();
+  ASSERT_TRUE(first.halted) << "the first incarnation ended with reason "
+                            << static_cast<int>(first.reason);
+  ASSERT_TRUE(results[2].killed);
+  EXPECT_EQ(first.agent_migrations, 0u);
+
+  ServeConfig resume = config;
+  resume.halt_after_ms = 0;
+  resume.resume = true;
+  ServeResult second;
+  {
+    auto listener = transport.listen("lost-before-halt");
+    second = net::serve(*listener, resume);
+  }
+  for (int i = 0; i < 2; ++i) threads[static_cast<std::size_t>(i)].join();
+
+  ASSERT_TRUE(second.error.empty()) << second.error;
+  EXPECT_TRUE(second.resumed);
+  EXPECT_EQ(second.reason, StopReason::kSolved);
+  EXPECT_TRUE(config.job.bundle.instance.problem().is_solution(
+      second.run.assignment));
+  EXPECT_EQ(second.run.metrics.monitor.violations, 0u);
+  EXPECT_GT(second.agent_migrations, 0u);
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_TRUE(results[static_cast<std::size_t>(i)].completed)
+        << results[static_cast<std::size_t>(i)].error;
   }
   std::remove(journal.c_str());
 }

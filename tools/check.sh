@@ -70,11 +70,16 @@ echo "--- ASan+UBSan: wire + net-frame decode fuzz + DIMACS reader + corruption/
 # position. DbProtocol* and the DB duplication/reordering chaos
 # test drive DbAgent's sender -> slot table, which is indexed by a sender id
 # taken off the wire (negative, past-the-table and non-neighbor senders).
+# AgentHost* covers the host's dense agent table and its channel matrices,
+# indexed by sender and receiver ids taken off the wire. ParserFuzz* feeds
+# seeded mutants (byte flips, cuts, duplicated lines, huge and negative
+# numbers) to the .dcsp, repro bundle, JobSpec, DIMACS and coordinator
+# journal parsers.
 # ASan/UBSan turn any out-of-bounds read or signed overflow into a failure;
 # UBSan only reports and carries on unless halt_on_error is set.
 if ! UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
     "${prefix}-asan/tests/discsp_tests" \
-    --gtest_filter='WireFormat*:ChannelGuardPolicy*:DcspDigest*:ReproBundle*:MonitorOracle*:PartitionSchedule*:PartitionChaos*:CorruptionChaos*:IncrementalView*:AwcClassify*:Mcs*:DbProtocol*:FaultChaos.DbSolvesUnderDuplicationAndReordering:NetFrame*:Dimacs*:RetransmitBuffer*:RetransmitBackoff*'; then
+    --gtest_filter='WireFormat*:ChannelGuardPolicy*:DcspDigest*:ReproBundle*:MonitorOracle*:PartitionSchedule*:PartitionChaos*:CorruptionChaos*:IncrementalView*:AwcClassify*:Mcs*:DbProtocol*:FaultChaos.DbSolvesUnderDuplicationAndReordering:NetFrame*:Dimacs*:RetransmitBuffer*:RetransmitBackoff*:AgentHost*:ParserFuzz*'; then
   echo "ASan leg failed." >&2
   exit 1
 fi

@@ -4,8 +4,11 @@
 #
 #   1. Chaos trials: coordinator + 3 worker processes on 127.0.0.1 under 10%
 #      drop + 5% duplication; one worker is SIGKILLed mid-solve and a
-#      replacement started. >= 95% of trials must end SOLVED with a
-#      validated assignment and zero monitor violations.
+#      replacement started. The start is staged so the kill lands mid-run:
+#      the victim is killed while the third slot has never attached, and no
+#      run can solve before every slot has reported. >= 95% of trials must
+#      end SOLVED with a validated assignment and zero monitor violations,
+#      and in >= 75% the replacement must have attached mid-run.
 #   2. Coordinator-failover trials: a harsher channel (25% drop + 5% dup)
 #      keeps the solve slow while the *coordinator* is SIGKILLed mid-solve
 #      and restarted with --resume against its control-plane journal; the
@@ -86,19 +89,22 @@ run_trial() {
   local port
   port="$(cat "${port_file}")"
 
-  timeout 120 "${cli}" worker --connect "127.0.0.1:${port}" >/dev/null 2>&1 &
-  timeout 120 "${cli}" worker --connect "127.0.0.1:${port}" >/dev/null 2>&1 &
   # The victim runs bare (no `timeout` wrapper): SIGKILL is not forwardable,
   # so wrapping it would orphan the worker instead of killing it. The serve
   # timeout above bounds the trial either way.
   "${cli}" worker --connect "127.0.0.1:${port}" >/dev/null 2>&1 &
   local victim_pid=$!
+  timeout 120 "${cli}" worker --connect "127.0.0.1:${port}" >/dev/null 2>&1 &
 
-  # A real SIGKILL mid-solve, then a replacement attach (restart=true + seq
-  # floors on the coordinator side). If the solve already finished, both the
-  # kill and the replacement are harmless no-ops.
+  # The victim and one peer search for 0.5 s, then the victim gets a real
+  # SIGKILL. The third slot has never attached, so its agents have reported
+  # no value and the run cannot have solved: the kill lands mid-run. The
+  # third worker and a replacement (restart=true + seq floors on the
+  # coordinator side) then attach together.
   sleep 0.5
   kill -9 "${victim_pid}" 2>/dev/null || true
+  sleep 0.1
+  timeout 120 "${cli}" worker --connect "127.0.0.1:${port}" >/dev/null 2>&1 &
   timeout 120 "${cli}" worker --connect "127.0.0.1:${port}" >/dev/null 2>&1 &
 
   local status=0 verdict=0
@@ -312,9 +318,14 @@ for t in $(seq 1 "${trials}"); do
   fi
 done
 need=$(( (trials * 95 + 99) / 100 ))  # ceil(95%)
-echo "solved ${solved}/${trials} (need >= ${need}); kill landed mid-run in ${killed_mid_run}"
+need_mid=$(( (trials * 75 + 99) / 100 ))  # ceil(75%)
+echo "solved ${solved}/${trials} (need >= ${need}); kill landed mid-run in ${killed_mid_run} (need >= ${need_mid})"
 if [[ "${solved}" -lt "${need}" ]]; then
   echo "net_smoke: chaos solve rate below 95%" >&2
+  exit 1
+fi
+if [[ "${killed_mid_run}" -lt "${need_mid}" ]]; then
+  echo "net_smoke: chaos kill landed mid-run in under 75% of trials" >&2
   exit 1
 fi
 
