@@ -46,11 +46,11 @@ std::vector<std::unique_ptr<sim::Agent>> AbtSolver::make_agents(
     // member; everyone else sends ok? to that evaluator.
     std::vector<Nogood> evaluated;
     std::vector<AgentId> outgoing;
-    for (std::size_t idx : problem_.nogoods_of_agent(a)) {
-      const Nogood& ng = p.nogoods()[idx];
+    for (std::uint32_t idx : problem_.nogoods_of_agent(a)) {
+      const NogoodView ng = p.nogood(idx);
       const VarId evaluator = ng.items().back().var;  // items sorted by var id
       if (evaluator == var) {
-        evaluated.push_back(ng);
+        evaluated.emplace_back(ng);
       } else {
         outgoing.push_back(problem_.owner_of(evaluator));
       }

@@ -43,10 +43,11 @@ std::vector<std::unique_ptr<sim::Agent>> AwcSolver::make_agents(
   agents.reserve(static_cast<std::size_t>(problem_.num_agents()));
   for (AgentId a = 0; a < problem_.num_agents(); ++a) {
     const VarId var = problem_.variable_of(a);
+    const auto own = problem_.nogoods_of_agent(a);
     std::vector<Nogood> initial_nogoods;
-    for (std::size_t idx : problem_.nogoods_of_agent(a)) {
-      initial_nogoods.push_back(p.nogoods()[idx]);
-    }
+    initial_nogoods.reserve(own.size());
+    for (std::uint32_t idx : own) initial_nogoods.emplace_back(p.nogood(idx));
+    const auto links = problem_.neighbors_of_agent(a);
     AwcAgentConfig config;
     config.record_received = options_.record_received;
     config.nogood_capacity = options_.nogood_capacity;
@@ -55,7 +56,7 @@ std::vector<std::unique_ptr<sim::Agent>> AwcSolver::make_agents(
     config.incremental = options_.incremental;
     agents.push_back(std::make_unique<AwcAgent>(
         a, var, p.domain_size(var), initial[static_cast<std::size_t>(var)],
-        strategy_->clone(), problem_.neighbors_of_agent(a), initial_nogoods,
+        strategy_->clone(), std::vector<AgentId>(links.begin(), links.end()), initial_nogoods,
         owner_of_var_, log, rng.derive(static_cast<std::uint64_t>(a) + 0x517cc1b7ULL),
         config));
   }

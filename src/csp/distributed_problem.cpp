@@ -21,50 +21,68 @@ DistributedProblem::DistributedProblem(Problem p, std::vector<AgentId> owner_of_
     if (a < 0) throw std::invalid_argument("negative agent id in owner map");
     num_agents_ = std::max(num_agents_, a + 1);
   }
+  problem_.shrink_to_fit();
+  const auto agents = static_cast<std::size_t>(num_agents_);
 
-  agent_vars_.resize(static_cast<std::size_t>(num_agents_));
-  for (VarId v = 0; v < problem_.num_variables(); ++v) {
-    agent_vars_[static_cast<std::size_t>(owner_[static_cast<std::size_t>(v)])].push_back(v);
+  // Counting sort of the variables by owner keeps each row ascending.
+  var_offsets_.assign(agents + 1, 0);
+  for (AgentId a : owner_) ++var_offsets_[static_cast<std::size_t>(a) + 1];
+  std::partial_sum(var_offsets_.begin(), var_offsets_.end(), var_offsets_.begin());
+  vars_.resize(owner_.size());
+  {
+    std::vector<std::uint32_t> fill(var_offsets_.begin(), var_offsets_.end() - 1);
+    for (VarId v = 0; v < problem_.num_variables(); ++v) {
+      vars_[fill[static_cast<std::size_t>(owner_[static_cast<std::size_t>(v)])]++] = v;
+    }
+  }
+  one_var_per_agent_ = num_agents_ == problem_.num_variables();
+  for (std::size_t a = 0; a < agents && one_var_per_agent_; ++a) {
+    one_var_per_agent_ = var_offsets_[a + 1] - var_offsets_[a] == 1;
   }
 
-  agent_nogoods_.resize(static_cast<std::size_t>(num_agents_));
-  agent_neighbors_.resize(static_cast<std::size_t>(num_agents_));
-  for (AgentId a = 0; a < num_agents_; ++a) {
-    auto& ngs = agent_nogoods_[static_cast<std::size_t>(a)];
-    for (VarId v : agent_vars_[static_cast<std::size_t>(a)]) {
-      const auto& per_var = problem_.nogoods_of(v);
-      ngs.insert(ngs.end(), per_var.begin(), per_var.end());
+  if (!one_var_per_agent_) {
+    nogood_offsets_.reserve(agents + 1);
+    nogood_offsets_.push_back(0);
+    for (AgentId a = 0; a < num_agents_; ++a) {
+      const auto begin = nogoods_.size();
+      for (VarId v : variables_of(a)) {
+        const auto per_var = problem_.nogoods_of(v);
+        nogoods_.insert(nogoods_.end(), per_var.begin(), per_var.end());
+      }
+      const auto first = nogoods_.begin() + static_cast<std::ptrdiff_t>(begin);
+      std::sort(first, nogoods_.end());
+      nogoods_.erase(std::unique(first, nogoods_.end()), nogoods_.end());
+      nogood_offsets_.push_back(static_cast<std::uint32_t>(nogoods_.size()));
     }
-    std::sort(ngs.begin(), ngs.end());
-    ngs.erase(std::unique(ngs.begin(), ngs.end()), ngs.end());
+    nogoods_.shrink_to_fit();
+  }
 
-    auto& nbrs = agent_neighbors_[static_cast<std::size_t>(a)];
-    for (std::size_t idx : ngs) {
-      for (const Assignment& asg : problem_.nogoods()[idx]) {
+  neighbor_offsets_.reserve(agents + 1);
+  neighbor_offsets_.push_back(0);
+  for (AgentId a = 0; a < num_agents_; ++a) {
+    const auto begin = neighbors_.size();
+    for (std::uint32_t idx : nogoods_of_agent(a)) {
+      for (const Assignment& asg : problem_.nogood(idx)) {
         const AgentId other = owner_[static_cast<std::size_t>(asg.var)];
-        if (other != a) nbrs.push_back(other);
+        if (other != a) neighbors_.push_back(other);
       }
     }
-    std::sort(nbrs.begin(), nbrs.end());
-    nbrs.erase(std::unique(nbrs.begin(), nbrs.end()), nbrs.end());
+    const auto first = neighbors_.begin() + static_cast<std::ptrdiff_t>(begin);
+    std::sort(first, neighbors_.end());
+    neighbors_.erase(std::unique(first, neighbors_.end()), neighbors_.end());
+    neighbor_offsets_.push_back(static_cast<std::uint32_t>(neighbors_.size()));
   }
+  neighbors_.shrink_to_fit();
 }
 
 VarId DistributedProblem::variable_of(AgentId a) const {
-  const auto& vars = variables_of(a);
+  const auto vars = variables_of(a);
   if (vars.size() != 1) {
     throw std::logic_error("agent " + std::to_string(a) + " owns " +
                            std::to_string(vars.size()) +
                            " variables; this algorithm requires exactly one");
   }
   return vars.front();
-}
-
-bool DistributedProblem::is_one_var_per_agent() const {
-  for (const auto& vars : agent_vars_) {
-    if (vars.size() != 1) return false;
-  }
-  return num_agents_ == problem_.num_variables();
 }
 
 }  // namespace discsp

@@ -7,6 +7,8 @@
 // it, but the single-variable accessors are what AWC/ABT/DB consume.
 #pragma once
 
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "csp/problem.h"
@@ -25,36 +27,50 @@ class DistributedProblem {
   int num_agents() const { return num_agents_; }
 
   AgentId owner_of(VarId v) const { return owner_[static_cast<std::size_t>(v)]; }
-  const std::vector<VarId>& variables_of(AgentId a) const {
-    return agent_vars_[static_cast<std::size_t>(a)];
-  }
+  /// The variables agent a owns, ascending.
+  std::span<const VarId> variables_of(AgentId a) const { return row(var_offsets_, vars_, a); }
 
   /// Single-variable accessor for the core algorithms; throws when the agent
   /// owns a different number of variables.
   VarId variable_of(AgentId a) const;
 
   /// Indices (into problem().nogoods()) of constraints relevant to agent a,
-  /// i.e. mentioning at least one of its variables.
-  const std::vector<std::size_t>& nogoods_of_agent(AgentId a) const {
-    return agent_nogoods_[static_cast<std::size_t>(a)];
+  /// i.e. mentioning at least one of its variables; ascending, no duplicates.
+  std::span<const std::uint32_t> nogoods_of_agent(AgentId a) const {
+    if (one_var_per_agent_) return problem_.nogoods_of(vars_[static_cast<std::size_t>(a)]);
+    return row(nogood_offsets_, nogoods_, a);
   }
 
   /// Agents owning a variable that shares a nogood with agent a's variables
   /// (sorted, excludes a).
-  const std::vector<AgentId>& neighbors_of_agent(AgentId a) const {
-    return agent_neighbors_[static_cast<std::size_t>(a)];
+  std::span<const AgentId> neighbors_of_agent(AgentId a) const {
+    return row(neighbor_offsets_, neighbors_, a);
   }
 
   /// True iff every agent owns exactly one variable.
-  bool is_one_var_per_agent() const;
+  bool is_one_var_per_agent() const { return one_var_per_agent_; }
 
  private:
+  /// Row `a` of a CSR table: items[offsets[a], offsets[a+1]).
+  template <typename T>
+  static std::span<const T> row(const std::vector<std::uint32_t>& offsets,
+                                const std::vector<T>& items, AgentId a) {
+    const auto i = static_cast<std::size_t>(a);
+    return std::span<const T>(items).subspan(offsets[i], offsets[i + 1] - offsets[i]);
+  }
+
   Problem problem_;
   std::vector<AgentId> owner_;
   int num_agents_ = 0;
-  std::vector<std::vector<VarId>> agent_vars_;
-  std::vector<std::vector<std::size_t>> agent_nogoods_;
-  std::vector<std::vector<AgentId>> agent_neighbors_;
+  bool one_var_per_agent_ = false;
+  // Per-agent tables as CSR rows. With one variable per agent the nogood
+  // list is the variable's own occurrence list, so nogoods_ stays empty.
+  std::vector<std::uint32_t> var_offsets_;
+  std::vector<VarId> vars_;
+  std::vector<std::uint32_t> nogood_offsets_;
+  std::vector<std::uint32_t> nogoods_;
+  std::vector<std::uint32_t> neighbor_offsets_;
+  std::vector<AgentId> neighbors_;
 };
 
 }  // namespace discsp

@@ -11,7 +11,7 @@ void add_not_equal(Problem& problem, VarId u, VarId v) {
   if (u == v) throw std::invalid_argument("not_equal needs two distinct variables");
   const Value shared = std::min(problem.domain_size(u), problem.domain_size(v));
   for (Value c = 0; c < shared; ++c) {
-    problem.add_nogood(Nogood{{u, c}, {v, c}});
+    problem.add_nogood({{u, c}, {v, c}});
   }
 }
 
@@ -19,7 +19,7 @@ void add_equal(Problem& problem, VarId u, VarId v) {
   if (u == v) throw std::invalid_argument("equal needs two distinct variables");
   for (Value a = 0; a < problem.domain_size(u); ++a) {
     for (Value b = 0; b < problem.domain_size(v); ++b) {
-      if (a != b) problem.add_nogood(Nogood{{u, a}, {v, b}});
+      if (a != b) problem.add_nogood({{u, a}, {v, b}});
     }
   }
 }
@@ -36,25 +36,25 @@ void add_min_distance(Problem& problem, VarId u, VarId v, int distance) {
   if (distance <= 0) throw std::invalid_argument("distance must be positive");
   for (Value a = 0; a < problem.domain_size(u); ++a) {
     for (Value b = 0; b < problem.domain_size(v); ++b) {
-      if (std::abs(a - b) < distance) problem.add_nogood(Nogood{{u, a}, {v, b}});
+      if (std::abs(a - b) < distance) problem.add_nogood({{u, a}, {v, b}});
     }
   }
 }
 
 void add_forbidden(Problem& problem, std::vector<Assignment> combination) {
-  problem.add_nogood(Nogood(std::move(combination)));
+  problem.add_nogood(combination);
 }
 
 void add_allowed_values(Problem& problem, VarId var, std::span<const Value> allowed) {
   std::unordered_set<Value> keep(allowed.begin(), allowed.end());
   if (keep.empty()) throw std::invalid_argument("allowed value set must not be empty");
   for (Value v = 0; v < problem.domain_size(var); ++v) {
-    if (keep.count(v) == 0) problem.add_nogood(Nogood{{var, v}});
+    if (keep.count(v) == 0) problem.add_nogood({{var, v}});
   }
 }
 
 void add_forbidden_value(Problem& problem, VarId var, Value value) {
-  problem.add_nogood(Nogood{{var, value}});
+  problem.add_nogood({{var, value}});
 }
 
 Problem coloring_problem(int n, int colors,

@@ -43,7 +43,7 @@ template <typename Predicate>
 void add_binary_relation(Problem& problem, VarId u, VarId v, Predicate&& keep) {
   for (Value a = 0; a < problem.domain_size(u); ++a) {
     for (Value b = 0; b < problem.domain_size(v); ++b) {
-      if (!keep(a, b)) problem.add_nogood(Nogood{{u, a}, {v, b}});
+      if (!keep(a, b)) problem.add_nogood({{u, a}, {v, b}});
     }
   }
 }

@@ -35,12 +35,12 @@ void Nogood::rehash() {
   hash_ = hash_range(items_.begin(), items_.end());
 }
 
-bool Nogood::contains(VarId var) const { return value_of(var) != kNoValue; }
+Nogood::Nogood(NogoodView view) : items_(view.begin(), view.end()) { rehash(); }
 
-Value Nogood::value_of(VarId var) const {
-  auto it = std::lower_bound(items_.begin(), items_.end(), var,
+Value value_in(std::span<const Assignment> items, VarId var) {
+  auto it = std::lower_bound(items.begin(), items.end(), var,
                              [](const Assignment& a, VarId v) { return a.var < v; });
-  if (it != items_.end() && it->var == var) return it->value;
+  if (it != items.end() && it->var == var) return it->value;
   return kNoValue;
 }
 
@@ -64,7 +64,9 @@ std::string Nogood::str() const {
   return out.str();
 }
 
-std::ostream& operator<<(std::ostream& os, const Nogood& ng) {
+std::ostream& operator<<(std::ostream& os, const Nogood& ng) { return os << ng.view(); }
+
+std::ostream& operator<<(std::ostream& os, NogoodView ng) {
   os << '(';
   for (const Assignment& a : ng) {
     os << "(x" << a.var << ',' << a.value << ')';

@@ -3,6 +3,7 @@
 // become nogoods; AWC/ABT/DB only ever reason about nogoods.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <functional>
 #include <initializer_list>
@@ -14,6 +15,45 @@
 #include "csp/assignment.h"
 
 namespace discsp {
+
+/// Value `var` is bound to in canonical (var-sorted) `items`, or kNoValue.
+Value value_in(std::span<const Assignment> items, VarId var);
+
+/// A read-only view of one canonical nogood held elsewhere: a Problem's
+/// literal arena or a Nogood. It answers the same queries as Nogood without
+/// owning anything; build a Nogood from it where an owner is needed.
+class NogoodView {
+ public:
+  NogoodView() = default;
+  /// Precondition: `items` is canonical (sorted by variable, one per variable).
+  explicit NogoodView(std::span<const Assignment> items) : items_(items) {}
+
+  std::size_t size() const { return items_.size(); }
+  bool empty() const { return items_.empty(); }
+  std::span<const Assignment> items() const { return items_; }
+  auto begin() const { return items_.begin(); }
+  auto end() const { return items_.end(); }
+
+  bool contains(VarId var) const { return value_of(var) != kNoValue; }
+  Value value_of(VarId var) const { return value_in(items_, var); }
+
+  /// Same contract as Nogood::violated_by.
+  template <typename Lookup>
+  bool violated_by(Lookup&& lookup) const {
+    for (const Assignment& a : items_) {
+      if (lookup(a.var) != a.value) return false;
+    }
+    return true;
+  }
+
+  friend bool operator==(NogoodView a, NogoodView b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end());
+  }
+  friend std::ostream& operator<<(std::ostream& os, NogoodView ng);
+
+ private:
+  std::span<const Assignment> items_;
+};
 
 /// An immutable, canonicalized set of (var, value) pairs.
 ///
@@ -31,17 +71,22 @@ class Nogood {
   Nogood() { rehash(); }
   explicit Nogood(std::vector<Assignment> assignments);
   Nogood(std::initializer_list<Assignment> assignments);
+  /// An owning copy of a viewed nogood.
+  explicit Nogood(NogoodView view);
 
   std::size_t size() const { return items_.size(); }
   bool empty() const { return items_.empty(); }
   std::span<const Assignment> items() const { return items_; }
   auto begin() const { return items_.begin(); }
   auto end() const { return items_.end(); }
+  NogoodView view() const { return NogoodView(items_); }
+  /// Implicit: a Nogood reads wherever a view does, e.g. in comparisons.
+  operator NogoodView() const { return view(); }  // NOLINT(google-explicit-constructor)
 
   /// True iff `var` occurs in this nogood.
-  bool contains(VarId var) const;
+  bool contains(VarId var) const { return value_of(var) != kNoValue; }
   /// The value this nogood binds `var` to, or kNoValue if absent.
-  Value value_of(VarId var) const;
+  Value value_of(VarId var) const { return value_in(items_, var); }
 
   /// Violation test against a view. `lookup(var)` must return the view's
   /// current value for `var`, or kNoValue when unknown. A nogood is violated

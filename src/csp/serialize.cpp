@@ -23,8 +23,8 @@ std::uint64_t structure_digest(const Problem& problem,
   }
   h = fnv1a64_word(h, owner.empty() ? 0 : 1);
   for (AgentId a : owner) h = fnv1a64_word(h, static_cast<std::uint64_t>(a));
-  h = fnv1a64_word(h, static_cast<std::uint64_t>(problem.nogoods().size()));
-  for (const Nogood& ng : problem.nogoods()) {
+  h = fnv1a64_word(h, static_cast<std::uint64_t>(problem.num_nogoods()));
+  for (NogoodView ng : problem.nogoods()) {
     h = fnv1a64_word(h, static_cast<std::uint64_t>(ng.size()));
     for (const Assignment& a : ng) {
       h = fnv1a64_word(h, static_cast<std::uint64_t>(a.var));
@@ -108,7 +108,7 @@ Parsed parse(std::istream& in) {
       }
       if (!body.eof()) fail(lineno, "non-numeric token in nogood");
       try {
-        out.problem.add_nogood(Nogood(std::move(items)));
+        out.problem.add_nogood(items);
       } catch (const std::exception& e) {
         fail(lineno, e.what());
       }
@@ -156,7 +156,7 @@ void write_header(std::ostream& out, const Problem& problem, const std::string& 
 }
 
 void write_nogoods(std::ostream& out, const Problem& problem) {
-  for (const Nogood& ng : problem.nogoods()) {
+  for (NogoodView ng : problem.nogoods()) {
     out << "nogood";
     for (const Assignment& a : ng) out << ' ' << a.var << ' ' << a.value;
     out << '\n';

@@ -20,8 +20,9 @@ ValidationReport validate_solution(const Problem& problem, const FullAssignment&
     }
   }
   auto lookup = [&](VarId v) { return a[static_cast<std::size_t>(v)]; };
-  for (std::size_t i = 0; i < problem.nogoods().size(); ++i) {
-    if (problem.nogoods()[i].violated_by(lookup)) report.violated.push_back(i);
+  const NogoodList nogoods = problem.nogoods();
+  for (std::size_t i = 0; i < nogoods.size(); ++i) {
+    if (nogoods[i].violated_by(lookup)) report.violated.push_back(i);
   }
   report.ok = report.violated.empty();
   return report;

@@ -33,17 +33,18 @@ std::vector<std::unique_ptr<sim::Agent>> DbSolver::make_agents(
   agents.reserve(static_cast<std::size_t>(problem_.num_agents()));
   for (AgentId a = 0; a < problem_.num_agents(); ++a) {
     const VarId var = problem_.variable_of(a);
+    const auto own = problem_.nogoods_of_agent(a);
     std::vector<Nogood> nogoods;
-    for (std::size_t idx : problem_.nogoods_of_agent(a)) {
-      nogoods.push_back(p.nogoods()[idx]);
-    }
+    nogoods.reserve(own.size());
+    for (std::uint32_t idx : own) nogoods.emplace_back(p.nogood(idx));
+    const auto neighbors = problem_.neighbors_of_agent(a);
     DbAgentConfig config;
     config.journal = options_.journal;
     config.journal_config = options_.journal_config;
     config.incremental = options_.incremental;
     agents.push_back(std::make_unique<DbAgent>(
         a, var, p.domain_size(var), initial[static_cast<std::size_t>(var)],
-        problem_.neighbors_of_agent(a), std::move(nogoods),
+        std::vector<AgentId>(neighbors.begin(), neighbors.end()), std::move(nogoods),
         rng.derive(static_cast<std::uint64_t>(a) + 0x2545f491ULL), config));
   }
   return agents;

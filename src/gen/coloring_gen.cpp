@@ -60,7 +60,7 @@ ColoringInstance generate_coloring(const ColoringParams& params, Rng& rng) {
   inst.problem.add_variables(n, k);
   for (const auto& [u, v] : inst.edges) {
     for (Value c = 0; c < k; ++c) {
-      inst.problem.add_nogood(Nogood{{u, c}, {v, c}});
+      inst.problem.add_nogood({{u, c}, {v, c}});
     }
   }
   return inst;

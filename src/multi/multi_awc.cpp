@@ -40,7 +40,7 @@ sim::RunResult MultiAwcSolver::solve(const FullAssignment& initial, const Rng& r
   agents.reserve(n);
   for (VarId v = 0; v < p.num_variables(); ++v) {
     std::vector<Nogood> initial_nogoods;
-    for (std::size_t idx : p.nogoods_of(v)) initial_nogoods.push_back(p.nogoods()[idx]);
+    for (std::uint32_t idx : p.nogoods_of(v)) initial_nogoods.emplace_back(p.nogood(idx));
     std::vector<AgentId> links;
     for (VarId nb : p.neighbors_of(v)) links.push_back(nb);
     awc::AwcAgentConfig config;

@@ -59,26 +59,36 @@ void upsert(std::vector<std::pair<AgentId, Value>>& table, AgentId key,
   table.emplace_back(key, value);
 }
 
-std::string format_best(const char* tag, int violations,
-                        const std::vector<std::pair<AgentId, Value>>& best) {
+/// "<count> <agent> <value> ..." after `head`.
+std::string format_pairs(const std::string& head,
+                         const std::vector<std::pair<AgentId, Value>>& pairs) {
   std::ostringstream line;
-  line << tag << ' ' << violations << ' ' << best.size();
-  for (const auto& [agent, value] : best) line << ' ' << agent << ' ' << value;
+  line << head << ' ' << pairs.size();
+  for (const auto& [agent, value] : pairs) line << ' ' << agent << ' ' << value;
   return line.str();
 }
 
-bool parse_best(std::istringstream& in, int& violations,
-                std::vector<std::pair<AgentId, Value>>& best) {
+bool parse_pairs(std::istringstream& in, std::vector<std::pair<AgentId, Value>>& pairs) {
   std::size_t count = 0;
-  if (!(in >> violations >> count)) return false;
-  best.clear();
+  if (!(in >> count)) return false;
+  pairs.clear();
   for (std::size_t i = 0; i < count; ++i) {
     AgentId agent = kNoAgent;
     Value value = 0;
     if (!(in >> agent >> value)) return false;
-    best.emplace_back(agent, value);
+    pairs.emplace_back(agent, value);
   }
   return true;
+}
+
+std::string format_best(const char* tag, int violations,
+                        const std::vector<std::pair<AgentId, Value>>& best) {
+  return format_pairs(std::string(tag) + ' ' + std::to_string(violations), best);
+}
+
+bool parse_best(std::istringstream& in, int& violations,
+                std::vector<std::pair<AgentId, Value>>& best) {
+  return (in >> violations) && parse_pairs(in, best);
 }
 
 bool parse_words(std::istringstream& in, std::vector<std::uint64_t>& words) {
@@ -139,6 +149,11 @@ bool replay_record(const std::string& body, CoordState& state) {
   if (tag == "r-best") {
     if (!parse_best(in, state.best_violations, state.best)) return false;
     state.have_best = true;
+    return true;
+  }
+  if (tag == "r-solved") {
+    if (!parse_pairs(in, state.solution)) return false;
+    state.solved = true;
     return true;
   }
   if (tag == "r-insoluble") {
@@ -212,6 +227,7 @@ bool CoordJournal::write_snapshot(const std::string& path,
   if (state.have_best) {
     emit(format_best("best", state.best_violations, state.best));
   }
+  if (state.solved) emit(format_pairs("solved", state.solution));
   if (state.insoluble) {
     emit("insoluble " + std::to_string(state.insoluble_agent));
   }
@@ -296,6 +312,10 @@ void CoordJournal::record_fold(int shard, std::uint64_t prior_processed,
 void CoordJournal::record_best(
     int violations, const std::vector<std::pair<AgentId, Value>>& best) {
   append_line(format_best("r-best", violations, best));
+}
+
+void CoordJournal::record_solved(const std::vector<std::pair<AgentId, Value>>& solution) {
+  append_line(format_pairs("r-solved", solution));
 }
 
 void CoordJournal::record_insoluble(AgentId agent) {
@@ -410,6 +430,9 @@ std::optional<CoordState> CoordJournal::load(const std::string& path,
         return fail("bad best line");
       }
       state.have_best = true;
+    } else if (tag == "solved") {
+      if (!parse_pairs(fields, state.solution)) return fail("bad solved line");
+      state.solved = true;
     } else if (tag == "insoluble") {
       AgentId agent = kNoAgent;
       if (!(fields >> agent)) return fail("bad insoluble line");

@@ -23,8 +23,8 @@
 // What is persisted (and nothing else — the JobSpec is the other half of
 // recovery and is re-read from its own file): the attach table (per-slot
 // incarnations + folded dead-incarnation metrics), per-agent seq floors,
-// last observed agent values, the best-partial snapshot, the insolubility
-// verdict, and the coordinator's own incarnation counter.
+// last observed agent values, the best-partial snapshot, the solved witness,
+// the insolubility verdict, and the coordinator's own incarnation counter.
 #pragma once
 
 #include <cstdint>
@@ -70,6 +70,11 @@ struct CoordState {
   bool have_best = false;
   int best_violations = 0;
   std::vector<std::pair<AgentId, Value>> best;
+  /// The frozen solution witness, journaled before the first STOP leaves:
+  /// every worker that got that STOP is gone, so only the journal can tell
+  /// a resumed coordinator the run already solved.
+  bool solved = false;
+  std::vector<std::pair<AgentId, Value>> solution;
   bool insoluble = false;
   AgentId insoluble_agent = kNoAgent;
   std::vector<CoordSlotState> slots;
@@ -107,6 +112,7 @@ class CoordJournal {
                    const std::vector<std::uint64_t>& prior_words);
   void record_best(int violations,
                    const std::vector<std::pair<AgentId, Value>>& best);
+  void record_solved(const std::vector<std::pair<AgentId, Value>>& solution);
   void record_insoluble(AgentId agent);
   /// Journal a shard-migration ownership flip: `agent` is now owned by
   /// `shard`. Written immediately before the ADOPT ships, so a journal that

@@ -67,8 +67,10 @@ class Coordinator {
       result_.coordinator_incarnation = coord_incarnation_;
       return result_;  // error already set
     }
-    // A journaled insolubility verdict is final: no worker input can change
-    // it, so a resumed coordinator just re-announces it.
+    // A journaled verdict is final: no worker input can change it, so a
+    // resumed coordinator just re-announces it. (A solved run's workers all
+    // got its STOP and left; none would ever re-attach to report it.)
+    if (solved_) request_stop(StopReason::kSolved);
     if (insoluble_) request_stop(StopReason::kInsoluble);
     while (!stopping_) {
       const std::int64_t now = elapsed();
@@ -206,6 +208,19 @@ class Coordinator {
       best_violations_ = static_cast<std::size_t>(state.best_violations);
       have_best_ = true;
     }
+    if (state.solved) {
+      FullAssignment witness(static_cast<std::size_t>(num_vars_), kNoValue);
+      for (const auto& [agent, value] : state.solution) {
+        if (agent >= 0 && agent < num_vars_) {
+          witness[static_cast<std::size_t>(agent)] = value;
+        }
+      }
+      // Only a witness that still checks out ends the run.
+      if (problem_.is_solution(witness)) {
+        solved_ = true;
+        solution_ = std::move(witness);
+      }
+    }
     if (state.insoluble) {
       insoluble_ = true;
       insoluble_agent_ = state.insoluble_agent;
@@ -239,6 +254,16 @@ class Coordinator {
     }
   }
 
+  /// (agent, value) for every agent of a complete assignment.
+  std::vector<std::pair<AgentId, Value>> agent_pairs(const FullAssignment& a) const {
+    std::vector<std::pair<AgentId, Value>> pairs;
+    pairs.reserve(static_cast<std::size_t>(num_vars_));
+    for (AgentId agent = 0; agent < num_vars_; ++agent) {
+      pairs.emplace_back(agent, a[static_cast<std::size_t>(agent)]);
+    }
+    return pairs;
+  }
+
   /// The complete journalable control-plane state, from the live members.
   CoordState snapshot() const {
     CoordState state;
@@ -257,6 +282,10 @@ class Coordinator {
         const auto i = static_cast<std::size_t>(a);
         if (best_[i] != kNoValue) state.best.emplace_back(a, best_[i]);
       }
+    }
+    if (solved_) {
+      state.solved = true;
+      state.solution = agent_pairs(solution_);
     }
     state.insoluble = insoluble_;
     state.insoluble_agent = insoluble_agent_;
@@ -761,6 +790,9 @@ class Coordinator {
         // window keep updating values_, and the live snapshot may no longer
         // be a solution by the time finish() runs.
         solution_ = values_;
+        // Journal it before the first STOP leaves: once the workers have
+        // that STOP, a resumed coordinator can learn of the solve only here.
+        if (journal_) journal_->record_solved(agent_pairs(solution_));
         request_stop(StopReason::kSolved);
         return;
       }
@@ -770,11 +802,7 @@ class Coordinator {
         best_violations_ = violated;
         have_best_ = true;
         if (journal_) {
-          std::vector<std::pair<AgentId, Value>> pairs;
-          for (AgentId a = 0; a < num_vars_; ++a) {
-            pairs.emplace_back(a, best_[static_cast<std::size_t>(a)]);
-          }
-          journal_->record_best(static_cast<int>(violated), pairs);
+          journal_->record_best(static_cast<int>(violated), agent_pairs(best_));
         }
       }
     }

@@ -376,8 +376,7 @@ class Worker {
 
   void flush_egress(std::int64_t now) {
     while (!egress_.empty() && egress_.top().at <= now) {
-      sim::AgentHost::Timed unit = egress_.top();
-      egress_.pop();
+      sim::AgentHost::Timed unit = egress_.pop();
       Copy& copy = unit.copy;
       if (host_->agent(copy.to) != nullptr) {
         deliver_local(copy.from, copy.to, copy.track_seq, copy.frame,

@@ -7,14 +7,14 @@ namespace discsp::sat {
 Problem to_problem(const Cnf& cnf) {
   Problem p;
   p.add_variables(cnf.num_vars(), 2);
+  std::vector<Assignment> items;
   for (const Clause& c : cnf.clauses()) {
     if (c.is_tautology()) continue;
-    std::vector<Assignment> items;
-    items.reserve(c.size());
+    items.clear();
     for (Lit l : c) {
       items.push_back({l.var(), l.falsifying_value()});
     }
-    p.add_nogood(Nogood(std::move(items)));
+    p.add_nogood(items);
   }
   return p;
 }
@@ -31,7 +31,7 @@ Cnf to_cnf(const Problem& problem) {
                                   " has domain size " + std::to_string(problem.domain_size(v)));
     }
   }
-  for (const Nogood& ng : problem.nogoods()) {
+  for (NogoodView ng : problem.nogoods()) {
     std::vector<Lit> lits;
     lits.reserve(ng.size());
     for (const Assignment& a : ng) {

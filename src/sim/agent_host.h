@@ -16,11 +16,11 @@
 // compute per delivery in both, for now.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
-#include <queue>
 #include <span>
 #include <vector>
 
@@ -67,9 +67,28 @@ class AgentHost {
       return at != other.at ? at > other.at : order > other.order;
     }
   };
-  /// The runtimes' time-ordered queue of copies (earliest first).
-  using TimedQueue =
-      std::priority_queue<Timed, std::vector<Timed>, std::greater<Timed>>;
+  /// The runtimes' time-ordered queue of copies, earliest (at, order)
+  /// first. pop() moves the entry out, payload and frame included, where
+  /// std::priority_queue::top() could only copy it.
+  class TimedQueue {
+   public:
+    bool empty() const { return heap_.empty(); }
+    std::size_t size() const { return heap_.size(); }
+    const Timed& top() const { return heap_.front(); }
+    void push(Timed timed) {
+      heap_.push_back(std::move(timed));
+      std::push_heap(heap_.begin(), heap_.end(), std::greater<Timed>{});
+    }
+    Timed pop() {
+      std::pop_heap(heap_.begin(), heap_.end(), std::greater<Timed>{});
+      Timed timed = std::move(heap_.back());
+      heap_.pop_back();
+      return timed;
+    }
+
+   private:
+    std::vector<Timed> heap_;
+  };
 
   /// The sink through which hosted agent `sender` emits. Heartbeat rounds
   /// send untracked: re-announcements are idempotent repair traffic that the

@@ -66,12 +66,14 @@ RunResult AsyncEngine::run() {
     queue.push({at, seq++, std::move(copy)});
   };
 
-  auto snapshot = [&]() {
-    FullAssignment a(static_cast<std::size_t>(problem_.num_variables()), kNoValue);
-    host_.for_each_agent([&a](const Agent& agent) {
-      a[static_cast<std::size_t>(agent.variable())] = agent.current_value();
+  // The global assignment, refilled in place for every solution test.
+  FullAssignment assignment;
+  auto snapshot = [&]() -> const FullAssignment& {
+    assignment.assign(static_cast<std::size_t>(problem_.num_variables()), kNoValue);
+    host_.for_each_agent([&assignment](const Agent& agent) {
+      assignment[static_cast<std::size_t>(agent.variable())] = agent.current_value();
     });
-    return a;
+    return assignment;
   };
 
   host_.set_now(0);
@@ -126,8 +128,7 @@ RunResult AsyncEngine::run() {
     }
     if (queue.empty()) break;
 
-    AgentHost::Timed ev = queue.top();
-    queue.pop();
+    AgentHost::Timed ev = queue.pop();
     ++popped;
     host_.set_now(ev.at);
     AgentHost::Copy& copy = ev.copy;

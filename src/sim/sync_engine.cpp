@@ -46,12 +46,11 @@ SyncEngine::SyncEngine(const Problem& problem, std::vector<std::unique_ptr<Agent
   }
 }
 
-FullAssignment SyncEngine::snapshot() const {
-  FullAssignment a(static_cast<std::size_t>(problem_.num_variables()), kNoValue);
+void SyncEngine::snapshot_into(FullAssignment& out) const {
+  out.assign(static_cast<std::size_t>(problem_.num_variables()), kNoValue);
   for (const auto& agent : agents_) {
-    a[static_cast<std::size_t>(agent->variable())] = agent->current_value();
+    out[static_cast<std::size_t>(agent->variable())] = agent->current_value();
   }
-  return a;
 }
 
 RunResult SyncEngine::run(int max_cycles) {
@@ -72,9 +71,12 @@ RunResult SyncEngine::run(int max_cycles) {
     result.metrics.messages += sink.count();
   }
 
-  if (problem_.is_solution(snapshot())) {
+  // The global assignment, refilled in place once per cycle.
+  FullAssignment assignment;
+  snapshot_into(assignment);
+  if (problem_.is_solution(assignment)) {
     result.metrics.solved = true;
-    result.assignment = snapshot();
+    result.assignment = std::move(assignment);
     for (const auto& agent : agents_) add_agent_counters(*agent, result.metrics);
     return result;
   }
@@ -103,15 +105,15 @@ RunResult SyncEngine::run(int max_cycles) {
     result.metrics.maxcck += cycle_max_checks;
     result.metrics.messages += sink.count();
 
+    snapshot_into(assignment);
     if (observer_ != nullptr) {
-      const FullAssignment current_assignment = snapshot();
       CycleSnapshot obs;
       obs.cycle = result.metrics.cycles;
       obs.delivered = delivered;
       obs.sent = sink.count();
       obs.max_checks = cycle_max_checks;
-      obs.violated_nogoods = problem_.violated_count(current_assignment);
-      obs.assignment = &current_assignment;
+      obs.violated_nogoods = problem_.violated_count(assignment);
+      obs.assignment = &assignment;
       observer_->on_cycle(obs);
     }
 
@@ -122,7 +124,7 @@ RunResult SyncEngine::run(int max_cycles) {
     }
     if (result.metrics.insoluble) break;
 
-    if (problem_.is_solution(snapshot())) {
+    if (problem_.is_solution(assignment)) {
       result.metrics.solved = true;
       break;
     }
@@ -137,7 +139,7 @@ RunResult SyncEngine::run(int max_cycles) {
 
   result.metrics.hit_cycle_cap =
       !result.metrics.solved && !result.metrics.insoluble && !quiescent_;
-  result.assignment = snapshot();
+  result.assignment = std::move(assignment);  // refilled after the last cycle
   for (const auto& agent : agents_) add_agent_counters(*agent, result.metrics);
   return result;
 }

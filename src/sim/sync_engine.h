@@ -51,7 +51,9 @@ class SyncEngine {
   const std::vector<std::unique_ptr<Agent>>& agents() const { return agents_; }
 
  private:
-  FullAssignment snapshot() const;
+  /// Refill `out` with every agent's current value (kNoValue where no
+  /// agent owns the variable), reusing its capacity.
+  void snapshot_into(FullAssignment& out) const;
 
   const Problem& problem_;
   std::vector<std::unique_ptr<Agent>> agents_;

@@ -20,8 +20,8 @@ BacktrackingSolver::BacktrackingSolver(const Problem& problem) : problem_(proble
 }
 
 bool BacktrackingSolver::consistent_with_assigned(VarId var) {
-  for (std::size_t idx : problem_.nogoods_of(var)) {
-    const Nogood& ng = problem_.nogoods()[idx];
+  for (std::uint32_t idx : problem_.nogoods_of(var)) {
+    const NogoodView ng = problem_.nogood(idx);
     ++stats_.nogood_checks;
     bool violated = true;
     for (const Assignment& a : ng) {

@@ -61,7 +61,8 @@ TEST(CnfToCsp, DistributedVersionIsOneVarPerAgent) {
   const auto dp = to_distributed(cnf);
   EXPECT_TRUE(dp.is_one_var_per_agent());
   EXPECT_EQ(dp.num_agents(), 5);
-  EXPECT_EQ(dp.neighbors_of_agent(0), (std::vector<AgentId>{4}));
+  const auto neighbors = dp.neighbors_of_agent(0);
+  EXPECT_EQ(std::vector<AgentId>(neighbors.begin(), neighbors.end()), (std::vector<AgentId>{4}));
 }
 
 TEST(CnfToCsp, EmptyClauseBecomesEmptyNogood) {

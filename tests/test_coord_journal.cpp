@@ -182,6 +182,29 @@ TEST(CoordJournal, CheckpointCompactsAndSurvivesReload) {
   std::filesystem::remove(path);
 }
 
+TEST(CoordJournal, SolvedWitnessReplaysFromTheTailAndTheCheckpoint) {
+  const std::string path = temp_journal("discsp_coord_journal_solved.wal");
+  const std::vector<std::pair<AgentId, Value>> witness = {{0, 2}, {1, 0}, {2, 1}};
+  CoordJournal journal(config_for(path));
+  std::string error;
+  ASSERT_TRUE(journal.start(seed_state(), &error)) << error;
+  journal.record_solved(witness);
+  journal.record_value(1, 2);  // a late report after the solve
+  auto loaded = CoordJournal::load(path, &error);
+  ASSERT_TRUE(loaded.has_value()) << error;
+  EXPECT_TRUE(loaded->solved);
+  EXPECT_EQ(loaded->solution, witness);
+
+  // A checkpoint of that state carries the witness over the compaction.
+  ASSERT_TRUE(journal.checkpoint(*loaded, &error)) << error;
+  loaded = CoordJournal::load(path, &error);
+  ASSERT_TRUE(loaded.has_value()) << error;
+  EXPECT_TRUE(loaded->solved);
+  EXPECT_EQ(loaded->solution, witness);
+  EXPECT_FALSE(CoordJournal::load(path, &error)->insoluble);
+  std::filesystem::remove(path);
+}
+
 TEST(CoordJournal, TornTailTruncatesReplayInsteadOfFailing) {
   const std::string path = temp_journal("discsp_coord_journal_torn.wal");
   {

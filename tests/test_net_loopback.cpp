@@ -33,6 +33,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <memory>
+#include <optional>
 #include <ostream>
 #include <string>
 #include <thread>
@@ -40,6 +41,7 @@
 
 #include "common/rng.h"
 #include "gen/coloring_gen.h"
+#include "net/coord_journal.h"
 #include "net/coordinator.h"
 #include "net/jobspec.h"
 #include "net/tcp_transport.h"
@@ -535,6 +537,74 @@ TEST(NetLoopbackChaos, HaltedCoordinatorIsResumedAndRunSolves) {
   // Every worker survived the outage by re-rendezvousing (continuation
   // attach), so the coordinator saw no worker *restarts*.
   EXPECT_GE(reconnects, 3);
+  std::remove(journal.c_str());
+}
+
+TEST(NetLoopback, ResumedCoordinatorReportsAJournaledSolveAtOnce) {
+  // A run that solved has no worker left to re-attach: each got the STOP
+  // and exited. A coordinator resumed from that run's journal must report
+  // the journaled solve at once, not wait out its deadline with whatever
+  // values were journaled last.
+  const std::string journal =
+      (std::filesystem::temp_directory_path() / "discsp_solved_resume.journal")
+          .string();
+  std::remove(journal.c_str());
+
+  net::InProcTransport transport;
+  ServeConfig config;
+  config.job = make_job(16, 11, 3);
+  config.job.bundle.initial = config.job.bundle.planted;  // solved from the start
+  config.deadline_ms = 30000;
+  config.journal_path = journal;
+  std::vector<WorkerConfig> workers;
+  for (int i = 0; i < 3; ++i) workers.push_back(worker_config("solved", i));
+  const ServeResult first = run_loopback(transport, "solved", config, workers);
+  ASSERT_TRUE(first.error.empty()) << first.error;
+  ASSERT_EQ(first.reason, StopReason::kSolved);
+
+  // A final report drained after the STOP can still move a value, so the
+  // journaled values need not be a solution any more: model one such late
+  // report that breaks a constraint.
+  std::string error;
+  std::optional<net::CoordState> state = net::CoordJournal::load(journal, &error);
+  ASSERT_TRUE(state.has_value()) << error;
+  const Problem& problem = config.job.bundle.instance.problem();
+  FullAssignment late = first.run.assignment;
+  for (VarId v = 0; v < problem.num_variables() && problem.is_solution(late); ++v) {
+    for (Value d = 0; d < problem.domain_size(v) && problem.is_solution(late); ++d) {
+      late = first.run.assignment;
+      late[static_cast<std::size_t>(v)] = d;
+    }
+  }
+  ASSERT_FALSE(problem.is_solution(late));
+  state->values.clear();
+  for (VarId v = 0; v < problem.num_variables(); ++v) {
+    state->values.emplace_back(v, late[static_cast<std::size_t>(v)]);
+  }
+  {
+    net::CoordJournalConfig journal_config;
+    journal_config.path = journal;
+    net::CoordJournal rewrite(journal_config);
+    ASSERT_TRUE(rewrite.start(*state, &error)) << error;
+  }
+
+  ServeConfig resume = config;
+  resume.resume = true;
+  resume.deadline_ms = 20000;
+  auto listener = transport.listen("solved");
+  const auto start = std::chrono::steady_clock::now();
+  const ServeResult second = net::serve(*listener, resume);
+  const auto waited = std::chrono::steady_clock::now() - start;
+
+  ASSERT_TRUE(second.error.empty()) << second.error;
+  EXPECT_TRUE(second.resumed);
+  EXPECT_EQ(second.coordinator_incarnation, 2u);
+  EXPECT_EQ(second.reason, StopReason::kSolved);
+  EXPECT_TRUE(second.run.metrics.solved);
+  EXPECT_EQ(second.run.assignment, first.run.assignment);
+  EXPECT_TRUE(problem.is_solution(second.run.assignment));
+  EXPECT_EQ(second.run.metrics.monitor.violations, 0u);
+  EXPECT_LT(waited, std::chrono::seconds(5));
   std::remove(journal.c_str());
 }
 

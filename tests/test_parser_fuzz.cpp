@@ -171,6 +171,8 @@ TEST(ParserFuzz, CoordJournalReplay) {
   state.slots.resize(2);
   state.slots[0].incarnation = 2;
   state.slots[1].prior_words = {5, 6, 7};
+  state.solved = true;
+  state.solution = {{0, 1}, {1, 2}};
   {
     net::CoordJournalConfig config;
     config.path = path;
@@ -183,6 +185,7 @@ TEST(ParserFuzz, CoordJournalReplay) {
     journal.record_best(1, {{0, 1}, {1, 0}});
     journal.record_assign(5, 0);
     journal.ensure_seq(3, 200);
+    journal.record_solved({{0, 1}, {1, 0}, {2, 1}});
     journal.record_insoluble(2);
   }
   std::ifstream in(path);

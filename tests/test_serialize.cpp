@@ -34,10 +34,9 @@ TEST(Serialize, ProblemRoundTrip) {
     EXPECT_EQ(parsed.domain_size(v), original.domain_size(v));
   }
   ASSERT_EQ(parsed.num_nogoods(), original.num_nogoods());
-  for (const Nogood& ng : original.nogoods()) {
-    EXPECT_TRUE(std::find(parsed.nogoods().begin(), parsed.nogoods().end(), ng) !=
-                parsed.nogoods().end())
-        << ng.str();
+  const NogoodList all = parsed.nogoods();
+  for (NogoodView ng : original.nogoods()) {
+    EXPECT_TRUE(std::find(all.begin(), all.end(), ng) != all.end()) << ng;
   }
 }
 

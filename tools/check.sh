@@ -74,12 +74,15 @@ echo "--- ASan+UBSan: wire + net-frame decode fuzz + DIMACS reader + corruption/
 # indexed by sender and receiver ids taken off the wire. ParserFuzz* feeds
 # seeded mutants (byte flips, cuts, duplicated lines, huge and negative
 # numbers) to the .dcsp, repro bundle, JobSpec, DIMACS and coordinator
-# journal parsers.
+# journal parsers. Problem*, DistributedProblem*, Serialize*, CnfToCsp* and
+# InstanceDigest* read the flat constraint tables: one literal arena sliced
+# by 32-bit offsets, the open-addressing dedup table and the CSR per-agent
+# rows, all new index arithmetic.
 # ASan/UBSan turn any out-of-bounds read or signed overflow into a failure;
 # UBSan only reports and carries on unless halt_on_error is set.
 if ! UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
     "${prefix}-asan/tests/discsp_tests" \
-    --gtest_filter='WireFormat*:ChannelGuardPolicy*:DcspDigest*:ReproBundle*:MonitorOracle*:PartitionSchedule*:PartitionChaos*:CorruptionChaos*:IncrementalView*:AwcClassify*:Mcs*:DbProtocol*:FaultChaos.DbSolvesUnderDuplicationAndReordering:NetFrame*:Dimacs*:RetransmitBuffer*:RetransmitBackoff*:AgentHost*:ParserFuzz*'; then
+    --gtest_filter='WireFormat*:ChannelGuardPolicy*:DcspDigest*:ReproBundle*:MonitorOracle*:PartitionSchedule*:PartitionChaos*:CorruptionChaos*:IncrementalView*:AwcClassify*:Mcs*:DbProtocol*:FaultChaos.DbSolvesUnderDuplicationAndReordering:NetFrame*:Dimacs*:RetransmitBuffer*:RetransmitBackoff*:AgentHost*:ParserFuzz*:Problem*:DistributedProblem*:Serialize*:CnfToCsp*:InstanceDigest*'; then
   echo "ASan leg failed." >&2
   exit 1
 fi
