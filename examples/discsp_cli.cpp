@@ -11,8 +11,8 @@
 //   discsp_cli experiment --family d3s --n 40 --trials 20 --threads 8
 //   discsp_cli serve inst.dcsp --workers 3 --deadline-ms 5000
 //   discsp_cli serve inst.dcsp --listen 127.0.0.1:0 --port-file port.txt
-//   discsp_cli serve inst.dcsp --listen 127.0.0.1:0 --port-file port.txt \
-//     --coordinator-journal run.journal --resume
+//   discsp_cli serve inst.dcsp --listen 127.0.0.1:0 --port-file port.txt
+//       --coordinator-journal run.journal --resume
 //   discsp_cli worker --connect 127.0.0.1:9000
 //   discsp_cli worker --port-file port.txt --max-connect-attempts 60
 #include <algorithm>

@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "csp/dedup_table.h"
 #include "csp/nogood_store.h"
 #include "learning/strategy.h"
 #include "recovery/journal.h"
@@ -52,16 +53,22 @@ class GenerationLog {
   /// Record a generation; returns true when `ng` was generated before.
   bool record(const Nogood& ng) {
     std::lock_guard lock(mutex_);
-    return !seen_.insert(ng).second;
+    const auto equal = [&](std::uint32_t i) { return generated_[i] == ng; };
+    if (index_.find(ng.hash(), equal) != DedupTable::kAbsent) return true;
+    index_.insert(ng.hash(), static_cast<std::uint32_t>(generated_.size()),
+                  [this](std::uint32_t i) { return generated_[i].hash(); });
+    generated_.push_back(ng);
+    return false;
   }
   std::size_t distinct() const {
     std::lock_guard lock(mutex_);
-    return seen_.size();
+    return generated_.size();
   }
 
  private:
   mutable std::mutex mutex_;
-  std::unordered_set<Nogood> seen_;
+  std::vector<Nogood> generated_;  // distinct generations, first-seen order
+  DedupTable index_;
 };
 
 struct AwcAgentConfig {

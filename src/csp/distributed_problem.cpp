@@ -57,22 +57,31 @@ DistributedProblem::DistributedProblem(Problem p, std::vector<AgentId> owner_of_
     nogoods_.shrink_to_fit();
   }
 
-  neighbor_offsets_.reserve(agents + 1);
-  neighbor_offsets_.push_back(0);
-  for (AgentId a = 0; a < num_agents_; ++a) {
-    const auto begin = neighbors_.size();
-    for (std::uint32_t idx : nogoods_of_agent(a)) {
-      for (const Assignment& asg : problem_.nogood(idx)) {
-        const AgentId other = owner_[static_cast<std::size_t>(asg.var)];
-        if (other != a) neighbors_.push_back(other);
+  // Neighborhood is symmetric: a nogood relevant to agents a and b is in
+  // both agents' lists. So visiting the agents a in ascending order and
+  // appending a to the row of every other agent its nogoods reach fills
+  // each row sorted and duplicate-free, with no sort: one counting pass,
+  // one filling pass.
+  std::vector<AgentId> last(agents);  // the agent last appended to each row
+  auto for_each_edge = [&](auto&& visit) {
+    std::fill(last.begin(), last.end(), kNoAgent);
+    for (AgentId a = 0; a < num_agents_; ++a) {
+      for (std::uint32_t idx : nogoods_of_agent(a)) {
+        for (const Assignment& asg : problem_.nogood(idx)) {
+          const auto other = static_cast<std::size_t>(owner_[static_cast<std::size_t>(asg.var)]);
+          if (static_cast<AgentId>(other) == a || last[other] == a) continue;
+          last[other] = a;
+          visit(other, a);
+        }
       }
     }
-    const auto first = neighbors_.begin() + static_cast<std::ptrdiff_t>(begin);
-    std::sort(first, neighbors_.end());
-    neighbors_.erase(std::unique(first, neighbors_.end()), neighbors_.end());
-    neighbor_offsets_.push_back(static_cast<std::uint32_t>(neighbors_.size()));
-  }
-  neighbors_.shrink_to_fit();
+  };
+  neighbor_offsets_.assign(agents + 1, 0);
+  for_each_edge([&](std::size_t row, AgentId) { ++neighbor_offsets_[row + 1]; });
+  std::partial_sum(neighbor_offsets_.begin(), neighbor_offsets_.end(), neighbor_offsets_.begin());
+  neighbors_.resize(neighbor_offsets_.back());
+  std::vector<std::uint32_t> fill(neighbor_offsets_.begin(), neighbor_offsets_.end() - 1);
+  for_each_edge([&](std::size_t row, AgentId a) { neighbors_[fill[row]++] = a; });
 }
 
 VarId DistributedProblem::variable_of(AgentId a) const {

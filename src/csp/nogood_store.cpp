@@ -85,7 +85,7 @@ void NogoodStore::violated_with_own(Value d, std::vector<std::uint32_t>& out) co
 void NogoodStore::insert_unchecked(Nogood ng, Meta meta) {
   const Value v = ng.value_of(own_);
   const auto idx = static_cast<std::uint32_t>(nogoods_.size());
-  dedup_[ng.hash()].push_back(idx);
+  dedup_.insert(ng.hash(), idx, [this](std::uint32_t i) { return hash_at(i); });
   buckets_[static_cast<std::size_t>(v)].push_back(idx);
   max_size_ = std::max(max_size_, ng.size());
 
@@ -134,9 +134,6 @@ void NogoodStore::compact_arena() {
 }
 
 void NogoodStore::remove_at(std::size_t idx) {
-  auto erase_index = [](std::vector<std::uint32_t>& vec, std::uint32_t target) {
-    vec.erase(std::find(vec.begin(), vec.end(), target));
-  };
   const Nogood& victim = nogoods_[idx];
   const auto idx32 = static_cast<std::uint32_t>(idx);
   if (vpos_[idx] != kNoPos) leave_violated(idx32);
@@ -153,11 +150,9 @@ void NogoodStore::remove_at(std::size_t idx) {
   }
   arena_live_ -= lits_[idx].len;  // the arena slice becomes a hole
   // Drop the victim's bucket and dedup references.
-  auto dup = dedup_.find(victim.hash());
-  assert(dup != dedup_.end());
-  erase_index(dup->second, idx32);
-  if (dup->second.empty()) dedup_.erase(dup);
-  erase_index(buckets_[static_cast<std::size_t>(victim.value_of(own_))], idx32);
+  dedup_.erase(victim.hash(), idx32, [this](std::uint32_t i) { return hash_at(i); });
+  auto& bucket = buckets_[static_cast<std::size_t>(victim.value_of(own_))];
+  bucket.erase(std::find(bucket.begin(), bucket.end(), idx32));
   if (meta_[idx].initial) --initial_count_;
 
   const std::size_t last = nogoods_.size() - 1;
@@ -165,8 +160,7 @@ void NogoodStore::remove_at(std::size_t idx) {
     // Move the last nogood into the hole and repoint its references.
     const auto last32 = static_cast<std::uint32_t>(last);
     const Nogood& moved = nogoods_[last];
-    auto& moved_dup = dedup_[moved.hash()];
-    *std::find(moved_dup.begin(), moved_dup.end(), last32) = idx32;
+    dedup_.repoint(moved.hash(), last32, idx32);
     auto& moved_bucket = buckets_[static_cast<std::size_t>(moved.value_of(own_))];
     *std::find(moved_bucket.begin(), moved_bucket.end(), last32) = idx32;
     for (const VarId var : lit_vars(last)) {
@@ -222,11 +216,7 @@ bool NogoodStore::add(Nogood ng) {
   if (v < 0 || v >= domain_size()) {
     throw std::out_of_range("nogood binds own variable to out-of-domain value");
   }
-  if (auto it = dedup_.find(ng.hash()); it != dedup_.end()) {
-    for (std::uint32_t idx : it->second) {
-      if (nogoods_[idx] == ng) return false;
-    }
-  }
+  if (find(ng) != DedupTable::kAbsent) return false;
   if (capacity_ != 0 && learned_count() >= capacity_) {
     const auto victim = pick_victim();
     if (!victim.has_value()) return false;  // bound holds; knowledge is dropped
@@ -241,25 +231,17 @@ bool NogoodStore::add(Nogood ng) {
   return true;
 }
 
-bool NogoodStore::contains(const Nogood& ng) const {
-  auto it = dedup_.find(ng.hash());
-  if (it == dedup_.end()) return false;
-  for (std::uint32_t idx : it->second) {
-    if (nogoods_[idx] == ng) return true;
-  }
-  return false;
+std::uint32_t NogoodStore::find(const Nogood& ng) const {
+  return dedup_.find(ng.hash(), [&](std::uint32_t idx) { return nogoods_[idx] == ng; });
 }
 
+bool NogoodStore::contains(const Nogood& ng) const { return find(ng) != DedupTable::kAbsent; }
+
 bool NogoodStore::remove(const Nogood& ng) {
-  auto it = dedup_.find(ng.hash());
-  if (it == dedup_.end()) return false;
-  for (std::uint32_t idx : it->second) {
-    if (nogoods_[idx] == ng) {
-      remove_at(idx);
-      return true;
-    }
-  }
-  return false;
+  const std::uint32_t idx = find(ng);
+  if (idx == DedupTable::kAbsent) return false;
+  remove_at(idx);
+  return true;
 }
 
 }  // namespace discsp

@@ -4,7 +4,7 @@
 // buckets nogoods by the value they bind that variable to. A deadend test
 // ("is value d ruled out?") then only scans bucket(d), which is exactly the
 // set of nogoods that *can* be violated while x_own = d. Duplicates are
-// rejected via the precomputed nogood hashes.
+// rejected through a DedupTable keyed by the precomputed nogood hashes.
 //
 // Incremental consistency engine (Chaff-style counting adapted to nogoods):
 // the store mirrors the agent's view of the *other* variables (`set_view`)
@@ -39,9 +39,9 @@
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
+#include "csp/dedup_table.h"
 #include "csp/nogood.h"
 
 namespace discsp {
@@ -182,6 +182,10 @@ class NogoodStore {
   static constexpr std::uint32_t kNoPos = 0xffffffffu;
 
   void insert_unchecked(Nogood ng, Meta meta);
+  /// Index of the stored nogood equal to `ng`, or DedupTable::kAbsent.
+  std::uint32_t find(const Nogood& ng) const;
+  /// Content hash of stored nogood `idx` (the DedupTable's hash_of).
+  std::size_t hash_at(std::uint32_t idx) const { return nogoods_[idx].hash(); }
   /// Remove index `idx` via swap-with-last, fixing buckets, dedup, the
   /// occurrence index, the violated lists, and the literal arena.
   void remove_at(std::size_t idx);
@@ -199,7 +203,7 @@ class NogoodStore {
   std::vector<Nogood> nogoods_;
   std::vector<Meta> meta_;
   std::vector<std::vector<std::uint32_t>> buckets_;
-  std::unordered_map<std::size_t, std::vector<std::uint32_t>> dedup_;
+  DedupTable dedup_;
   std::size_t initial_count_ = 0;
   std::size_t max_size_ = 0;
 

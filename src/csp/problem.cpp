@@ -1,7 +1,6 @@
 #include "csp/problem.h"
 
 #include <algorithm>
-#include <cassert>
 #include <limits>
 #include <stdexcept>
 
@@ -25,82 +24,61 @@ void Problem::add_variables(int count, int domain_size) {
 
 bool Problem::add_nogood(std::span<const Assignment> literals) {
   const std::size_t start = literals_.size();
-  const std::size_t count = literals.size();
-  if (start + count > std::numeric_limits<std::uint32_t>::max() ||
+  if (start + literals.size() > std::numeric_limits<std::uint32_t>::max() ||
       num_nogoods() >= std::numeric_limits<std::uint32_t>::max() - 1) {
     throw std::length_error("problem exceeds 32-bit constraint indexes");
   }
-  // Append to the arena tail, where the candidate is canonicalized and
-  // checked in place; every rejection truncates it again. Reserving first
-  // keeps `literals` valid when it views this very arena.
-  const Assignment* src = literals.data();
-  if (literals_.capacity() < start + count) {
-    const std::ptrdiff_t aliased = src - literals_.data();
-    const bool in_arena = count > 0 && aliased >= 0 && static_cast<std::size_t>(aliased) < start;
-    literals_.reserve(std::max(start + count, 2 * literals_.capacity()));
-    if (in_arena) src = literals_.data() + aliased;
-  }
-  for (std::size_t i = 0; i < count; ++i) literals_.push_back(src[i]);
+  // Canonicalize and check the candidate in place at the arena tail; every
+  // rejection truncates it again.
+  append_to_arena(literals_, literals);
   const auto tail = literals_.begin() + static_cast<std::ptrdiff_t>(start);
   std::sort(tail, literals_.end());
   literals_.erase(std::unique(tail, literals_.end()), literals_.end());
   const std::span<const Assignment> items(literals_.data() + start, literals_.size() - start);
-#ifndef NDEBUG
-  for (std::size_t i = 1; i < items.size(); ++i) {
-    // Two different values for one variable would make the "nogood" never
-    // violable; callers must not construct such a thing.
-    assert(items[i - 1].var != items[i].var && "conflicting values for one variable in a nogood");
-  }
-#endif
-  for (const Assignment& a : items) {
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    const Assignment a = items[i];  // a copy: the messages outlive the truncation
     if (a.var < 0 || a.var >= num_variables()) {
-      literals_.resize(start);
+      literals_.erase(tail, literals_.end());
       throw std::out_of_range("nogood references unknown variable x" + std::to_string(a.var));
     }
     if (a.value < 0 || a.value >= domain_size(a.var)) {
-      literals_.resize(start);
+      literals_.erase(tail, literals_.end());
       throw std::out_of_range("nogood binds x" + std::to_string(a.var) +
                               " to out-of-domain value " + std::to_string(a.value));
+    }
+    if (i > 0 && items[i - 1].var == a.var) {
+      const Value first = items[i - 1].value;
+      literals_.erase(tail, literals_.end());
+      throw std::invalid_argument("nogood binds x" + std::to_string(a.var) + " twice (to " +
+                                  std::to_string(first) + " and " + std::to_string(a.value) +
+                                  ")");
     }
   }
 
   const NogoodView candidate(items);
   const std::size_t hash = hash_range(items.begin(), items.end());
-  if (dedup_.empty()) grow_dedup();
-  std::size_t slot = find_slot(candidate, hash);
-  if (dedup_[slot] != 0) {
-    literals_.resize(start);
+  if (dedup_.find(hash, [&](std::uint32_t i) { return nogood(i) == candidate; }) !=
+      DedupTable::kAbsent) {
+    literals_.erase(tail, literals_.end());
     return false;
   }
-  const std::size_t idx = num_nogoods();
-  if ((idx + 1) * 4 > dedup_.size() * 3) {  // keep the load at or below 3/4
-    grow_dedup();
-    slot = find_slot(candidate, hash);
-  }
-  dedup_[slot] = static_cast<std::uint32_t>(idx + 1);
+  const auto idx = static_cast<std::uint32_t>(num_nogoods());
+  dedup_.insert(hash, idx, [this](std::uint32_t i) {
+    const NogoodView ng = nogood(i);
+    return hash_range(ng.begin(), ng.end());
+  });
   offsets_.push_back(static_cast<std::uint32_t>(literals_.size()));
   for (const Assignment& a : items) {
-    per_var_nogoods_[static_cast<std::size_t>(a.var)].push_back(static_cast<std::uint32_t>(idx));
+    per_var_nogoods_[static_cast<std::size_t>(a.var)].push_back(idx);
   }
   if (items.empty()) has_empty_nogood_ = true;
   return true;
 }
 
-std::size_t Problem::find_slot(NogoodView ng, std::size_t hash) const {
-  const std::size_t mask = dedup_.size() - 1;
-  for (std::size_t i = hash & mask;; i = (i + 1) & mask) {
-    const std::uint32_t held = dedup_[i];
-    if (held == 0 || nogood(held - 1) == ng) return i;
-  }
-}
-
-void Problem::grow_dedup() {
-  dedup_.assign(std::max<std::size_t>(16, 2 * dedup_.size()), 0);
-  const NogoodList all = nogoods();
-  for (std::size_t i = 0; i < all.size(); ++i) {
-    const NogoodView ng = all[i];
-    dedup_[find_slot(ng, hash_range(ng.begin(), ng.end()))] = static_cast<std::uint32_t>(i + 1);
-  }
+void Problem::reserve(std::size_t nogoods, std::size_t literals) {
+  literals_.reserve(literals_.size() + literals);
+  offsets_.reserve(offsets_.size() + nogoods);
+  dedup_.reserve(num_nogoods() + nogoods);
 }
 
 void Problem::shrink_to_fit() {

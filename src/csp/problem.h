@@ -5,18 +5,19 @@
 // Storage is flat: every constraint's canonical literals sit back to back in
 // one arena, nogood i spanning [offsets_[i], offsets_[i+1]). Readers get
 // NogoodViews into it; nothing here owns a per-nogood allocation. The
-// dedup index is an open-addressing table of nogood indices keyed by content
-// hash, and the per-variable occurrence lists hold 32-bit indices.
+// dedup index is a DedupTable of nogood indices keyed by content hash, and
+// the per-variable occurrence lists hold 32-bit indices.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <initializer_list>
-#include <iterator>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "csp/arena_list.h"
+#include "csp/dedup_table.h"
 #include "csp/nogood.h"
 
 namespace discsp {
@@ -26,55 +27,7 @@ using FullAssignment = std::vector<Value>;
 
 /// The constraints of a Problem, in insertion order, as views into its
 /// literal arena. Cheap to copy; invalidated by the next add_nogood.
-class NogoodList {
- public:
-  class iterator {
-   public:
-    using iterator_category = std::forward_iterator_tag;
-    using value_type = NogoodView;
-    using difference_type = std::ptrdiff_t;
-    using pointer = void;
-    using reference = NogoodView;
-
-    iterator() = default;
-    iterator(const Assignment* literals, const std::uint32_t* offset)
-        : literals_(literals), offset_(offset) {}
-    NogoodView operator*() const {
-      return NogoodView({literals_ + offset_[0], literals_ + offset_[1]});
-    }
-    iterator& operator++() {
-      ++offset_;
-      return *this;
-    }
-    iterator operator++(int) {
-      iterator old = *this;
-      ++offset_;
-      return old;
-    }
-    friend bool operator==(const iterator& a, const iterator& b) {
-      return a.offset_ == b.offset_;
-    }
-
-   private:
-    const Assignment* literals_ = nullptr;
-    const std::uint32_t* offset_ = nullptr;
-  };
-
-  NogoodList(std::span<const Assignment> literals, std::span<const std::uint32_t> offsets)
-      : literals_(literals), offsets_(offsets) {}
-
-  std::size_t size() const { return offsets_.empty() ? 0 : offsets_.size() - 1; }
-  bool empty() const { return size() == 0; }
-  NogoodView operator[](std::size_t i) const {
-    return NogoodView(literals_.subspan(offsets_[i], offsets_[i + 1] - offsets_[i]));
-  }
-  iterator begin() const { return {literals_.data(), offsets_.data()}; }
-  iterator end() const { return {literals_.data(), offsets_.data() + size()}; }
-
- private:
-  std::span<const Assignment> literals_;
-  std::span<const std::uint32_t> offsets_;  // size() + 1 entries
-};
+using NogoodList = ArenaList<NogoodView, Assignment>;
 
 class Problem {
  public:
@@ -87,14 +40,20 @@ class Problem {
 
   /// Add a constraint nogood given as literals in any order (they are
   /// canonicalized here). All referenced variables must exist and the bound
-  /// values must lie in their domains (std::out_of_range otherwise).
-  /// Duplicate nogoods are kept out: adding one whose content is already
-  /// present is a no-op returning false.
+  /// values must lie in their domains (std::out_of_range otherwise), and no
+  /// variable may be bound to two values (std::invalid_argument: such a
+  /// nogood could never be violated). Duplicate nogoods are kept out:
+  /// adding one whose content is already present is a no-op returning false.
   bool add_nogood(std::span<const Assignment> literals);
   bool add_nogood(std::initializer_list<Assignment> literals) {
     return add_nogood(std::span<const Assignment>(literals.begin(), literals.size()));
   }
   bool add_nogood(const Nogood& ng) { return add_nogood(ng.items()); }
+
+  /// Make room for `nogoods` more constraints of `literals` literals in
+  /// all. Called before the first add_nogood, adding them then grows no
+  /// table; later it reserves the arena only.
+  void reserve(std::size_t nogoods, std::size_t literals);
 
   /// Release the spare capacity incremental construction leaves behind.
   void shrink_to_fit();
@@ -126,19 +85,12 @@ class Problem {
   std::size_t violated_count(const FullAssignment& a) const;
 
  private:
-  /// Slot of the dedup table holding a nogood equal to `ng`, or of the empty
-  /// slot where it would go.
-  std::size_t find_slot(NogoodView ng, std::size_t hash) const;
-  void grow_dedup();
-
   std::vector<int> domain_sizes_;
   std::vector<std::string> names_;
   std::vector<Assignment> literals_;        // every nogood's literals, in order
   std::vector<std::uint32_t> offsets_{0};   // nogood i = [offsets_[i], offsets_[i+1])
   std::vector<std::vector<std::uint32_t>> per_var_nogoods_;
-  // Dedup index: open addressing, linear probing, power-of-two size; a slot
-  // holds nogood index + 1 (0 = empty).
-  std::vector<std::uint32_t> dedup_;
+  DedupTable dedup_;
   bool has_empty_nogood_ = false;
 };
 

@@ -7,8 +7,8 @@
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
-#include <unordered_set>
 
+#include "gen/clause_draw.h"
 #include "sat/cnf_to_csp.h"
 #include "sat/dimacs.h"
 #include "solver/model_counter.h"
@@ -51,38 +51,26 @@ AlternativeResult find_alternative_model(const sat::Cnf& cnf,
   return result;
 }
 
-/// Random clause satisfied by A (>=1 true literal under A) over 3 distinct
-/// variables.
-sat::Clause random_planted_clause(int n, const std::vector<Value>& a, Rng& rng) {
-  for (;;) {
-    std::vector<sat::Lit> lits;
-    std::unordered_set<VarId> vars;
-    while (lits.size() < 3) {
-      const auto v = static_cast<VarId>(rng.index(static_cast<std::size_t>(n)));
-      if (!vars.insert(v).second) continue;
-      lits.emplace_back(v, rng.below(2) == 1);
-    }
-    sat::Clause c(std::move(lits));
-    if (c.satisfied_by(a)) return c;
-  }
+/// Draw into `lits` a random clause satisfied by A (>=1 true literal under
+/// A) over 3 distinct variables.
+void random_planted_clause(int n, const std::vector<Value>& a, Rng& rng,
+                           std::vector<sat::Lit>& lits) {
+  do {
+    draw_random_clause(n, 3, rng, lits);
+  } while (!sat::satisfied_by(lits, a));
 }
 
-/// Random clause satisfied by A and falsified by B: anchor one literal on a
-/// variable where A and B differ (true under A, false under B) and make the
-/// other literals false under B.
-sat::Clause random_elimination_clause(int n, const std::vector<Value>& a,
-                                      const std::vector<Value>& b,
-                                      const std::vector<VarId>& diff, Rng& rng) {
+/// Draw into `lits` a random clause satisfied by A and falsified by B:
+/// anchor one literal on a variable where A and B differ (true under A,
+/// false under B) and make the other literals false under B. The literals
+/// come back sorted, i.e. canonical (their variables are distinct).
+void random_elimination_clause(int n, const std::vector<Value>& a, const std::vector<Value>& b,
+                               const std::vector<VarId>& diff, Rng& rng,
+                               std::vector<sat::Lit>& lits) {
   const VarId anchor = diff[rng.index(diff.size())];
-  std::vector<sat::Lit> lits;
-  lits.emplace_back(anchor, a[static_cast<std::size_t>(anchor)] == 1);
-  std::unordered_set<VarId> vars{anchor};
-  while (lits.size() < 3) {
-    const auto v = static_cast<VarId>(rng.index(static_cast<std::size_t>(n)));
-    if (!vars.insert(v).second) continue;
-    lits.emplace_back(v, b[static_cast<std::size_t>(v)] == 0);  // falsified by B
-  }
-  return sat::Clause(std::move(lits));
+  lits.assign(1, sat::Lit(anchor, a[static_cast<std::size_t>(anchor)] == 1));
+  draw_clause(n, 3, rng, [&b](VarId v) { return b[static_cast<std::size_t>(v)] == 0; }, lits);
+  std::sort(lits.begin(), lits.end());
 }
 
 }  // namespace
@@ -99,8 +87,10 @@ OneSatInstance generate_onesat(const OneSatParams& params, Rng& rng) {
 
   // Phase 1: random planted clauses shrink the model space cheaply.
   const auto base = static_cast<std::size_t>(std::llround(params.base_ratio * n));
+  std::vector<sat::Lit> lits;
   while (inst.cnf.num_clauses() < base) {
-    inst.cnf.add_clause(random_planted_clause(n, a, rng));
+    random_planted_clause(n, a, rng, lits);
+    inst.cnf.add_clause(lits);
   }
 
   // Phase 2: targeted elimination until A is the only model.
@@ -112,8 +102,9 @@ OneSatInstance generate_onesat(const OneSatParams& params, Rng& rng) {
         // The query was too hard for the budget. Tighten the instance with
         // one more random planted clause (sound: A stays a model, others
         // can only die) and ask again on the easier formula.
-        while (!inst.cnf.add_clause(random_planted_clause(n, a, rng))) {
-        }
+        do {
+          random_planted_clause(n, a, rng, lits);
+        } while (!inst.cnf.add_clause(lits));
         continue;
       }
       if (alt.model.empty()) break;  // certified unique
@@ -125,29 +116,29 @@ OneSatInstance generate_onesat(const OneSatParams& params, Rng& rng) {
       if (a[static_cast<std::size_t>(v)] != b[static_cast<std::size_t>(v)]) diff.push_back(v);
     }
     // b satisfies the blocking clause, so it differs from a somewhere.
-    sat::Clause best;
+    std::vector<sat::Lit> best;
     std::size_t best_kills = 0;
     for (int c = 0; c < params.candidate_pool; ++c) {
-      sat::Clause cand = random_elimination_clause(n, a, b, diff, rng);
-      if (inst.cnf.contains(cand)) continue;
+      random_elimination_clause(n, a, b, diff, rng, lits);
+      if (inst.cnf.contains(sat::ClauseView(lits))) continue;
       std::size_t kills = 0;
       for (const auto& m : alive) {
-        if (!cand.satisfied_by(m)) ++kills;
+        if (!sat::satisfied_by(lits, m)) ++kills;
       }
       if (kills > best_kills) {
         best_kills = kills;
-        best = std::move(cand);
+        best = lits;
       }
     }
     if (best_kills == 0) {
       // All candidates were duplicates (tiny n); fall back to any fresh one.
       do {
-        best = random_elimination_clause(n, a, b, diff, rng);
-      } while (inst.cnf.contains(best));
+        random_elimination_clause(n, a, b, diff, rng, best);
+      } while (inst.cnf.contains(sat::ClauseView(best)));
     }
     inst.cnf.add_clause(best);
     ++inst.elimination_clauses;
-    std::erase_if(alive, [&](const auto& m) { return !best.satisfied_by(m); });
+    std::erase_if(alive, [&](const auto& m) { return !sat::satisfied_by(best, m); });
   }
 
   // Phase 3: pad toward the paper's target ratio. Extra clauses satisfied by
@@ -155,8 +146,8 @@ OneSatInstance generate_onesat(const OneSatParams& params, Rng& rng) {
   const auto target = static_cast<std::size_t>(std::llround(params.clause_ratio * n));
   std::size_t guard = 0;
   while (inst.cnf.num_clauses() < target) {
-    sat::Clause c = random_planted_clause(n, a, rng);
-    if (!inst.cnf.add_clause(std::move(c)) && ++guard > 100 * target) {
+    random_planted_clause(n, a, rng, lits);
+    if (!inst.cnf.add_clause(lits) && ++guard > 100 * target) {
       throw std::runtime_error("padding did not converge");
     }
   }

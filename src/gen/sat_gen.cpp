@@ -2,20 +2,11 @@
 
 #include <cmath>
 #include <stdexcept>
-#include <unordered_set>
 
-#include "common/hash.h"
+#include "gen/clause_draw.h"
 #include "sat/cnf_to_csp.h"
 
 namespace discsp::gen {
-
-namespace {
-struct ClauseKeyHash {
-  std::size_t operator()(const std::vector<std::uint32_t>& codes) const noexcept {
-    return hash_range(codes.begin(), codes.end());
-  }
-};
-}  // namespace
 
 SatInstance generate_sat(const SatParams& params, Rng& rng) {
   const int n = params.n;
@@ -29,9 +20,8 @@ SatInstance generate_sat(const SatParams& params, Rng& rng) {
   inst.planted.resize(static_cast<std::size_t>(n));
   for (auto& v : inst.planted) v = static_cast<Value>(rng.below(2));
 
-  std::unordered_set<std::vector<std::uint32_t>, ClauseKeyHash> seen;
-  seen.reserve(m * 2);
-
+  inst.cnf.reserve(m, m * static_cast<std::size_t>(k));
+  std::vector<sat::Lit> lits;
   std::size_t attempts = 0;
   const std::size_t max_attempts = 1000 * m + 10000;
   while (inst.cnf.num_clauses() < m) {
@@ -39,22 +29,9 @@ SatInstance generate_sat(const SatParams& params, Rng& rng) {
       throw std::runtime_error("clause sampling did not converge; ratio too high for n");
     }
     // k distinct variables, independent random polarities.
-    std::vector<sat::Lit> lits;
-    std::unordered_set<VarId> vars;
-    while (static_cast<int>(lits.size()) < k) {
-      const auto v = static_cast<VarId>(rng.index(static_cast<std::size_t>(n)));
-      if (!vars.insert(v).second) continue;
-      lits.emplace_back(v, rng.below(2) == 1);
-    }
-    sat::Clause clause(std::move(lits));
-    if (!clause.satisfied_by(inst.planted)) continue;  // keep the plant a model
-
-    std::vector<std::uint32_t> key;
-    key.reserve(clause.size());
-    for (sat::Lit l : clause) key.push_back(l.code());
-    if (!seen.insert(std::move(key)).second) continue;
-
-    inst.cnf.add_clause(std::move(clause));
+    draw_random_clause(n, static_cast<std::size_t>(k), rng, lits);
+    if (!sat::satisfied_by(lits, inst.planted)) continue;  // keep the plant a model
+    inst.cnf.add_clause(lits);  // a duplicate is refused and redrawn
   }
   return inst;
 }

@@ -3,7 +3,7 @@
 #include <stdexcept>
 #include <unordered_set>
 
-#include "common/hash.h"
+#include "gen/clause_draw.h"
 
 namespace discsp::gen {
 
@@ -70,24 +70,14 @@ EdgeList random_edges(int n, std::size_t m, Rng& rng) {
 sat::Cnf random_ksat(int n, std::size_t m, int k, Rng& rng) {
   if (n < k || k < 1) throw std::invalid_argument("need n >= k >= 1");
   sat::Cnf cnf(n);
-  std::unordered_set<std::size_t> seen;  // canonical clause hashes
+  std::vector<sat::Lit> lits;
   std::size_t guard = 0;
   while (cnf.num_clauses() < m) {
     if (++guard > 1000 * m + 10000) {
       throw std::runtime_error("random clause sampling did not converge");
     }
-    std::vector<sat::Lit> lits;
-    std::unordered_set<VarId> vars;
-    while (static_cast<int>(lits.size()) < k) {
-      const auto v = static_cast<VarId>(rng.index(static_cast<std::size_t>(n)));
-      if (!vars.insert(v).second) continue;
-      lits.emplace_back(v, rng.below(2) == 1);
-    }
-    sat::Clause clause(std::move(lits));
-    std::size_t h = 0x51ed270b;
-    for (sat::Lit l : clause) hash_combine(h, l.code());
-    if (!seen.insert(h).second && cnf.contains(clause)) continue;
-    cnf.add_clause(std::move(clause));
+    draw_random_clause(n, static_cast<std::size_t>(k), rng, lits);
+    cnf.add_clause(lits);  // a duplicate is refused and redrawn
   }
   return cnf;
 }

@@ -7,8 +7,10 @@ namespace discsp::sat {
 Problem to_problem(const Cnf& cnf) {
   Problem p;
   p.add_variables(cnf.num_vars(), 2);
+  const ClauseList clauses = cnf.clauses();
+  p.reserve(clauses.size(), cnf.num_literals());
   std::vector<Assignment> items;
-  for (const Clause& c : cnf.clauses()) {
+  for (ClauseView c : cnf.clauses()) {
     if (c.is_tautology()) continue;
     items.clear();
     for (Lit l : c) {
@@ -31,14 +33,14 @@ Cnf to_cnf(const Problem& problem) {
                                   " has domain size " + std::to_string(problem.domain_size(v)));
     }
   }
+  std::vector<Lit> lits;
   for (NogoodView ng : problem.nogoods()) {
-    std::vector<Lit> lits;
-    lits.reserve(ng.size());
+    lits.clear();
     for (const Assignment& a : ng) {
       // Forbidding x=v is the clause literal "x != v": positive when v == 0.
       lits.emplace_back(a.var, a.value == 0);
     }
-    cnf.add_clause(Clause(std::move(lits)));
+    cnf.add_clause(lits);
   }
   return cnf;
 }

@@ -48,7 +48,7 @@ Cnf read_dimacs(std::istream& in) {
     long raw = 0;
     while (body >> raw) {
       if (raw == 0) {
-        cnf.add_clause(Clause(std::move(pending)));
+        cnf.add_clause(pending);
         pending.clear();
       } else {
         // Range-check before negating: -LONG_MIN overflows.
@@ -64,7 +64,7 @@ Cnf read_dimacs(std::istream& in) {
   if (!header_seen) throw std::runtime_error("DIMACS parse error: missing 'p cnf' header");
   if (!pending.empty()) {
     // Tolerate a final clause without the trailing 0, as some archives do.
-    cnf.add_clause(Clause(std::move(pending)));
+    cnf.add_clause(pending);
   }
   // Duplicate clauses are silently merged by Cnf, so the declared count is a
   // sanity upper bound, not an equality.
@@ -87,7 +87,7 @@ void write_dimacs(std::ostream& out, const Cnf& cnf, const std::string& comment)
     while (std::getline(lines, l)) out << "c " << l << '\n';
   }
   out << "p cnf " << cnf.num_vars() << ' ' << cnf.num_clauses() << '\n';
-  for (const Clause& c : cnf.clauses()) {
+  for (ClauseView c : cnf.clauses()) {
     for (Lit l : c) {
       out << (l.positive() ? l.var() + 1 : -(l.var() + 1)) << ' ';
     }

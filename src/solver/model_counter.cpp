@@ -10,7 +10,7 @@ ModelCounter::ModelCounter(const Cnf& cnf) : cnf_(cnf) {
   const auto n = static_cast<std::size_t>(cnf.num_vars());
   occurrences_.resize(2 * n);
   for (std::uint32_t ci = 0; ci < cnf.num_clauses(); ++ci) {
-    const Clause& c = cnf.clauses()[ci];
+    const ClauseView c = cnf.clause(ci);
     if (c.empty()) contradictory_ = true;
     for (Lit l : c) occurrences_[l.code()].push_back(ci);
   }
@@ -80,7 +80,7 @@ bool ModelCounter::propagate() {
       return false;
     }
     // Find the single unassigned literal and satisfy it.
-    const Clause& c = cnf_.clauses()[ci];
+    const ClauseView c = cnf_.clause(ci);
     Lit unit{};
     bool found = false;
     for (Lit l : c) {
@@ -113,7 +113,7 @@ VarId ModelCounter::pick_branch_var() const {
     if (st.n_sat > 0) continue;
     any_open = true;
     const std::uint32_t weight = st.n_unassigned <= 2 ? 8 : 1;
-    for (Lit l : cnf_.clauses()[ci]) {
+    for (Lit l : cnf_.clause(ci)) {
       const auto v = static_cast<std::size_t>(l.var());
       if (values_[v] != kNoValue) continue;
       if (l.positive()) {
@@ -220,7 +220,7 @@ void ModelCounter::reset() {
   unit_queue_.clear();
   num_open_clauses_ = cnf_.num_clauses();
   for (std::uint32_t ci = 0; ci < cnf_.num_clauses(); ++ci) {
-    clause_state_[ci].n_unassigned = static_cast<int>(cnf_.clauses()[ci].size());
+    clause_state_[ci].n_unassigned = static_cast<int>(cnf_.clause(ci).size());
     if (clause_state_[ci].n_unassigned == 1) unit_queue_.push_back(ci);
   }
 }

@@ -46,7 +46,7 @@ TEST(CnfToCsp, RoundTripThroughToCnf) {
   const Cnf back = to_cnf(to_problem(cnf));
   EXPECT_EQ(back.num_vars(), cnf.num_vars());
   ASSERT_EQ(back.num_clauses(), cnf.num_clauses());
-  for (const Clause& c : cnf.clauses()) EXPECT_TRUE(back.contains(c));
+  for (ClauseView c : cnf.clauses()) EXPECT_TRUE(back.contains(c));
 }
 
 TEST(CnfToCsp, ToCnfRejectsNonBooleanDomains) {

@@ -15,6 +15,8 @@
 #include "common/rng.h"
 #include "csp/serialize.h"
 #include "gen/onesat_gen.h"
+#include "gen/topologies.h"
+#include "sat/dimacs.h"
 
 namespace discsp {
 namespace {
@@ -93,6 +95,39 @@ TEST(InstanceDigest, OneSatN100) {
     Rng rng(pin.seed);
     expect_pinned(gen::distribute(gen::generate_onesat3(100, rng)), pin);
   }
+}
+
+// Every instance a sync-3sat-learn run holds (perfbench: n=150, seed 1,
+// instances 0..99), folded into one digest, so a generator change that
+// leaves instance 0 alone still shows.
+TEST(InstanceDigest, Sat3N150AllHundredSeed1) {
+  analysis::ExperimentSpec spec;
+  spec.family = analysis::ProblemFamily::kSat3;
+  spec.n = 150;
+  spec.seed = 1;
+  std::uint64_t h = kFnvOffsetBasis;
+  for (int inst = 0; inst < 100; ++inst) {
+    const DistributedProblem dp = analysis::make_instance(spec, inst);
+    h = fnv1a64_word(h, text_digest(dp));
+    h = fnv1a64_word(h, index_digest(dp));
+  }
+  EXPECT_EQ(h, 0xecd9356ec4e7b388ULL);
+}
+
+// random_ksat on one stream, dense enough (n=12) that duplicate draws are
+// common, for k = 2, 3, 4: pins the clause draw and the dedup together.
+TEST(InstanceDigest, RandomKsatHundredFormulas) {
+  Rng rng(1);
+  std::uint64_t h = kFnvOffsetBasis;
+  for (int i = 0; i < 100; ++i) {
+    const int k = 2 + i % 3;
+    const sat::Cnf cnf = gen::random_ksat(12, static_cast<std::size_t>(60 * k), k, rng);
+    std::ostringstream out;
+    sat::write_dimacs(out, cnf);
+    const std::string text = out.str();
+    h = fnv1a64(h, std::as_bytes(std::span<const char>(text.data(), text.size())));
+  }
+  EXPECT_EQ(h, 0x2409a7adf1bc0c65ULL);
 }
 
 }  // namespace

@@ -55,7 +55,9 @@ TEST(NogoodProperties, SubsetIsReflexiveTransitiveAntisymmetric) {
     const Nogood b = merge(a, extra);
     EXPECT_TRUE(a.subset_of(b));
     EXPECT_TRUE(extra.subset_of(b));
-    if (a.subset_of(b) && b.subset_of(a)) EXPECT_EQ(a, b);
+    if (a.subset_of(b) && b.subset_of(a)) {
+      EXPECT_EQ(a, b);
+    }
   }
 }
 

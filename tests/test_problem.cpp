@@ -138,6 +138,20 @@ TEST(Problem, OutOfRangeThrowsAndLeavesTheProblemUnchanged) {
   EXPECT_EQ(p.nogoods_of(1).size(), 2u);
 }
 
+TEST(Problem, RefusesANogoodBindingOneVariableTwice) {
+  // Such a nogood can never be violated, and it breaks value_of's binary
+  // search; it is refused with a typed error in every build type.
+  Problem p;
+  p.add_variables(2, 2);
+  EXPECT_THROW(p.add_nogood({{0, 0}, {0, 1}}), std::invalid_argument);
+  EXPECT_THROW(p.add_nogood({{1, 1}, {0, 0}, {1, 0}}), std::invalid_argument);
+  EXPECT_EQ(p.num_nogoods(), 0u);
+  // A literal given twice is one literal, not a conflict.
+  EXPECT_TRUE(p.add_nogood({{0, 1}, {0, 1}, {1, 0}}));
+  EXPECT_EQ(p.nogood(0), (Nogood{{0, 1}, {1, 0}}));
+  EXPECT_EQ(p.nogoods_of(0).size(), 1u);
+}
+
 TEST(Problem, TenThousandNogoodsRoundTrip) {
   constexpr int kVars = 200;
   constexpr int kDomain = 5;

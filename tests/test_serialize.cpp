@@ -8,6 +8,7 @@
 #include "csp/serialize.h"
 #include "gen/coloring_gen.h"
 #include "multi/multi_awc.h"
+#include "net/jobspec.h"
 
 namespace discsp {
 namespace {
@@ -96,6 +97,46 @@ TEST(Serialize, Rejections) {
   expect_throw("dcsp 1\nvars 1\ndomain 0 2\nnogood 0 7\n");  // value out of domain
   expect_throw("dcsp 1\nvars 2\ndomain 0 2\nnogood 0 0\n");  // x1 lacks a domain
   expect_throw("dcsp 1\nvars 1\ndomain 5 2\n");              // domain for unknown var
+}
+
+// A nogood binding x0 to both 0 and 1 is a model error, not a syntax one:
+// the parser must refuse it rather than hand the engines a constraint that
+// can never be violated.
+TEST(Serialize, RefusesANogoodBindingOneVariableTwice) {
+  std::istringstream in("dcsp 1\nvars 2\ndomain 0 2\ndomain 1 2\nnogood 0 0 0 1\n");
+  try {
+    (void)read_distributed(in);
+    FAIL() << "a nogood binding x0 twice was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("binds x0 twice"), std::string::npos) << e.what();
+  }
+}
+
+// The same problem inside a JobSpec, the text a coordinator hands every
+// worker, is refused too.
+TEST(Serialize, JobSpecRefusesANogoodBindingOneVariableTwice) {
+  Problem p;
+  p.add_variables(2, 2);
+  p.add_nogood({{0, 0}, {1, 1}});
+  net::JobSpec spec;
+  spec.bundle.instance = DistributedProblem::one_var_per_agent(std::move(p));
+  spec.bundle.initial.assign(2, 0);
+  std::string text = net::serialize_jobspec(spec);
+  ASSERT_NO_THROW((void)net::parse_jobspec(text));
+  // Swap in the hostile nogood and drop the digest line, so that only the
+  // model check can refuse the text.
+  const std::size_t at = text.find("nogood 0 0 1 1\n");
+  ASSERT_NE(at, std::string::npos) << text;
+  text.replace(at, 15, "nogood 0 0 0 1\n");
+  const std::size_t check = text.find("check ");
+  ASSERT_NE(check, std::string::npos) << text;
+  text.erase(check, text.find('\n', check) + 1 - check);
+  try {
+    (void)net::parse_jobspec(text);
+    FAIL() << "a JobSpec with a nogood binding x0 twice was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("binds x0 twice"), std::string::npos) << e.what();
+  }
 }
 
 TEST(Serialize, FileRoundTrip) {

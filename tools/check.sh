@@ -77,12 +77,15 @@ echo "--- ASan+UBSan: wire + net-frame decode fuzz + DIMACS reader + corruption/
 # journal parsers. Problem*, DistributedProblem*, Serialize*, CnfToCsp* and
 # InstanceDigest* read the flat constraint tables: one literal arena sliced
 # by 32-bit offsets, the open-addressing dedup table and the CSR per-agent
-# rows, all new index arithmetic.
+# rows, all new index arithmetic. DedupTable*, Cnf* and NogoodStore* churn
+# that dedup table itself (power-of-two masks, probe runs that wrap the
+# table end, backward-shift erase, repoint after swap-with-last) through its
+# three owners, where a wrong slot or index is an out-of-bounds read.
 # ASan/UBSan turn any out-of-bounds read or signed overflow into a failure;
 # UBSan only reports and carries on unless halt_on_error is set.
 if ! UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
     "${prefix}-asan/tests/discsp_tests" \
-    --gtest_filter='WireFormat*:ChannelGuardPolicy*:DcspDigest*:ReproBundle*:MonitorOracle*:PartitionSchedule*:PartitionChaos*:CorruptionChaos*:IncrementalView*:AwcClassify*:Mcs*:DbProtocol*:FaultChaos.DbSolvesUnderDuplicationAndReordering:NetFrame*:Dimacs*:RetransmitBuffer*:RetransmitBackoff*:AgentHost*:ParserFuzz*:Problem*:DistributedProblem*:Serialize*:CnfToCsp*:InstanceDigest*'; then
+    --gtest_filter='WireFormat*:ChannelGuardPolicy*:DcspDigest*:ReproBundle*:MonitorOracle*:PartitionSchedule*:PartitionChaos*:CorruptionChaos*:IncrementalView*:AwcClassify*:Mcs*:DbProtocol*:FaultChaos.DbSolvesUnderDuplicationAndReordering:NetFrame*:Dimacs*:RetransmitBuffer*:RetransmitBackoff*:AgentHost*:ParserFuzz*:Problem*:DistributedProblem*:Serialize*:CnfToCsp*:InstanceDigest*:DedupTable*:Cnf*:NogoodStore*'; then
   echo "ASan leg failed." >&2
   exit 1
 fi
